@@ -65,7 +65,6 @@ from .model import (
     VolPoint,
     check_assumptions,
     market_from_config,
-    payoff_eval,
     payoff_from_config,
     surface_from_config,
     tabulated_from_csv,
@@ -75,13 +74,11 @@ from .montecarlo import (
     McEstimate,
     PathBundle,
     SimConfig,
-    geometric_mc_crosscheck,
     mc_asian_price_cv,
     mc_delta_fd,
     mc_delta_malliavin,
     mc_price,
     simulate,
-    write_paths_csv,
 )
 
 __version__ = "0.1.0"
@@ -103,7 +100,6 @@ __all__ = [
     "VolPoint",
     "check_assumptions",
     "market_from_config",
-    "payoff_eval",
     "payoff_from_config",
     "surface_from_config",
     "tabulated_from_csv",
@@ -130,8 +126,6 @@ __all__ = [
     "mc_asian_price_cv",
     "mc_delta_fd",
     "mc_delta_malliavin",
-    "geometric_mc_crosscheck",
-    "write_paths_csv",
     "DistanceCurve",
     "ScalingFit",
     "lp_distance_curve",

@@ -31,9 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 from .model import LocalVolSurface, MarketParams
-from .montecarlo import SimConfig, _block_ranges, _map_blocks, _sim_block
+from .montecarlo import SimConfig, _reduce, _sim_block
 
 __all__ = [
     "PAIRS",
@@ -112,27 +112,10 @@ def lp_distance_curve(
             blk = _sim_block(surface, params, ti, cfg, lo, hi, include=pair)
             valid = ~blk["exploded"]
             a, b = (blk["terminal"][name][valid] for name in pair)
-            d = np.abs(a - b) ** p
-            return (
-                float(np.add.reduce(d)),
-                float(np.add.reduce(d * d)),
-                int(valid.sum()),
-                int((~valid).sum()),
-            )
+            return [np.abs(a - b) ** p], int((~valid).sum()), 0
 
-        parts = _map_blocks(block_fn, _block_ranges(cfg.n_paths), cfg.threads)
-        total = math.fsum(q[0] for q in parts)
-        total2 = math.fsum(q[1] for q in parts)
-        n_valid = int(sum(q[2] for q in parts))
-        n_exc = int(sum(q[3] for q in parts))
-        if n_exc > 0.001 * cfg.n_paths:
-            raise NumericError(
-                f"{n_exc} of {cfg.n_paths} paths exploded at t={ti} (> 0.1%)"
-            )
-        mean = total / n_valid
-        var = max(total2 / n_valid - mean * mean, 0.0)
-        moments[i] = mean
-        std_errors[i] = math.sqrt(var / n_valid)
+        n, mean, cov, _, _ = _reduce(block_fn, cfg)
+        moments[i], std_errors[i] = mean[0], math.sqrt(cov[0, 0] / n)
 
     return DistanceCurve(
         pair=pair,

@@ -49,7 +49,6 @@ __all__ = [
     "ProbeGrid",
     "AssumptionReport",
     "vol_at",
-    "payoff_eval",
     "check_assumptions",
     "market_from_config",
     "surface_from_config",
@@ -602,11 +601,6 @@ class PayoffSpec:
             "table_x": list(self.table_x),
             "table_y": list(self.table_y),
         }
-
-
-def payoff_eval(spec: PayoffSpec, x):
-    """Exact payoff evaluation (vectorized); no approximation anywhere."""
-    return spec.value(x)
 
 
 # ---------------------------------------------------------------------------

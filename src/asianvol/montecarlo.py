@@ -16,12 +16,14 @@ S and X step by Euler or log-Euler (selected in SimConfig); Z and Y always
 by Euler; the frozen processes have deterministic coefficients and step by
 their exact lognormal/Gaussian solutions.
 
-Randomness is counter-based and addressed by (seed, path, step), and all
-reductions use a fixed block structure with pairwise/compensated
-summation, so every estimate is bit-identical for any thread count or
-path batching.  Estimators report exploded paths (non-finite or
-nonpositive states, frozen at their last valid value) and fail if more
-than 0.1% of paths are excluded.
+Randomness is counter-based and addressed by (seed, path, step).  Every
+estimator hands its per-path values to one block reducer, _reduce, which
+works on a fixed block structure: means are compensated sums of the
+blocks' pairwise sums, and covariances merge per-block moments in block
+order, so every estimate is bit-identical for any thread count.  The
+reducer also counts exploded paths (non-finite or nonpositive states,
+frozen at their last valid value) and fails if more than 0.1% of paths
+are excluded.
 
 The Asian price has a controlled estimator, mc_asian_price_cv: its
 control is the payoff of the geometric (trapezoid log-) average of the
@@ -51,14 +53,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ._rng import BLOCK, normal_block
 from .asymptotics import gaussian_expectation
 from .errors import DomainError, NumericError, ValidationError
-from .model import LocalVolSurface, ConstantVol, MarketParams, PayoffSpec
+from .model import LocalVolSurface, MarketParams, PayoffSpec
 
 __all__ = [
     "PROCESS_NAMES",
@@ -70,8 +72,6 @@ __all__ = [
     "mc_asian_price_cv",
     "mc_delta_fd",
     "mc_delta_malliavin",
-    "geometric_mc_crosscheck",
-    "write_paths_csv",
 ]
 
 PROCESS_NAMES = ("S", "X", "Y", "Z", "Xt", "Yt", "Xh", "Yh")
@@ -270,6 +270,50 @@ def _map_blocks(fn, ranges, threads: int):
         return list(ex.map(lambda r: fn(*r), ranges))
 
 
+def _reduce(block_fn, cfg: SimConfig):
+    """(n_valid, means, cov, excluded, flagged) of per-path columns over all paths.
+
+    block_fn(lo, hi) returns (cols, excluded, flagged): k arrays holding one
+    value per valid path of the block, and the block's counts of excluded
+    (exploded) and flagged paths.  The means are compensated sums of the
+    blocks' pairwise sums over n_valid.  cov is the k x k population
+    covariance: each block's moments are taken about its first valid path,
+    so a column without spread has covariance exactly 0, and the blocks are
+    merged in block order by the pairwise update of Chan, Golub & LeVeque
+    (1979).  Both are bit-identical for any thread count.  More than 0.1%
+    of paths excluded (every path, in particular) raises NumericError.
+    """
+
+    def moments(lo, hi):
+        cols, excluded, flagged = block_fn(lo, hi)
+        n = len(cols[0])
+        sums = [float(np.add.reduce(c)) for c in cols]
+        if n == 0:
+            return n, sums, None, None, excluded, flagged
+        d = [c - c[0] for c in cols]
+        off = [float(np.add.reduce(x)) / n for x in d]
+        d = [x - o for x, o in zip(d, off)]
+        mean = np.array([c[0] + o for c, o in zip(cols, off)])
+        m2 = np.array([[np.add.reduce(x * y) for y in d] for x in d])
+        return n, sums, mean, m2, excluded, flagged
+
+    parts = _map_blocks(moments, _block_ranges(cfg.n_paths), cfg.threads)
+    excluded = sum(p[4] for p in parts)
+    if excluded > 0.001 * cfg.n_paths:
+        raise NumericError(
+            f"{excluded} of {cfg.n_paths} paths exploded (> 0.1%); "
+            "the scheme is unstable on this configuration"
+        )
+    n, mean, m2 = 0, 0.0, 0.0
+    for nb, _, mean_b, m2_b, _, _ in parts:
+        if nb:
+            delta, n = mean_b - mean, n + nb
+            mean = mean + delta * (nb / n)
+            m2 = m2 + m2_b + np.outer(delta, delta) * ((n - nb) * nb / n)
+    means = [math.fsum(p[1][i] for p in parts) / n for i in range(len(parts[0][1]))]
+    return n, means, m2 / n, excluded, sum(p[5] for p in parts)
+
+
 # ---------------------------------------------------------------------------
 # simulation with full histories
 # ---------------------------------------------------------------------------
@@ -277,7 +321,7 @@ def _map_blocks(fn, ranges, threads: int):
 def simulate(surface: LocalVolSurface, params: MarketParams, T: float, cfg: SimConfig) -> PathBundle:
     """Full-history simulation of the requested processes on one driver.
 
-    Intended for inspection, path dumps, and the coupled-pair studies;
+    Intended for inspection and the coupled-pair studies;
     refuses runs whose histories would not comfortably fit in memory.
     """
     if not T > 0.0:
@@ -323,34 +367,6 @@ def simulate(surface: LocalVolSurface, params: MarketParams, T: float, cfg: SimC
 # estimators
 # ---------------------------------------------------------------------------
 
-def _assemble(parts, n_requested: int, disc: float, estimator: str, extra: Optional[dict] = None):
-    """Combine per-block (sum, sum_sq, n_valid, n_excluded[, diag]) tuples."""
-    total = math.fsum(p[0] for p in parts)
-    total2 = math.fsum(p[1] for p in parts)
-    n_valid = int(sum(p[2] for p in parts))
-    n_exc = int(sum(p[3] for p in parts))
-    if n_exc > 0.001 * n_requested:
-        raise NumericError(
-            f"{n_exc} of {n_requested} paths exploded (> 0.1%); "
-            "the scheme is unstable on this configuration"
-        )
-    if n_valid == 0:
-        raise NumericError("no valid paths")
-    mean = total / n_valid
-    var = max(total2 / n_valid - mean * mean, 0.0)
-    se = math.sqrt(var / n_valid)
-    diag = {"excluded": n_exc}
-    if extra:
-        diag.update(extra)
-    return McEstimate(
-        mean=disc * mean,
-        std_error=disc * se,
-        n_paths=n_valid,
-        estimator=estimator,
-        diagnostics=diag,
-    )
-
-
 def _style_values(blk, style: str):
     if style == "asian":
         return blk["avgs"]["S"]
@@ -386,17 +402,13 @@ def mc_price(
             surface, params, T, cfg, lo, hi, include=("S",), want_avgs=_style_avgs(style)
         )
         valid = ~blk["exploded"]
-        v = payoff.value(_style_values(blk, style)[valid])
-        return (
-            float(np.add.reduce(v)),
-            float(np.add.reduce(v * v)),
-            int(valid.sum()),
-            int((~valid).sum()),
-        )
+        return [payoff.value(_style_values(blk, style)[valid])], int((~valid).sum()), 0
 
-    parts = _map_blocks(block_fn, _block_ranges(cfg.n_paths), cfg.threads)
-    return _assemble(
-        parts, cfg.n_paths, math.exp(-params.r * T), f"mc-price-{style}"
+    n, mean, cov, excluded, _ = _reduce(block_fn, cfg)
+    disc = math.exp(-params.r * T)
+    return McEstimate(
+        disc * mean[0], disc * math.sqrt(cov[0, 0] / n), n, f"mc-price-{style}",
+        {"excluded": excluded},
     )
 
 
@@ -458,10 +470,11 @@ def mc_asian_price_cv(
     Gaussian expectation split at the payoff's kinks.  The estimate is
     mean(Y) - beta (mean(X) - E[X]) with beta = Cov(X, Y) / Var(X) fitted on
     the same paths; its standard error is that of Y - beta X.  Both come from
-    block-ordered compensated sums, so the result is bit-identical for any
-    thread count.  A deterministic control (v = 0, zero volatility) gets
-    beta = 0, which is the plain estimate.  Exploded paths are left out of
-    both sums.  Diagnostics add beta and the variance-reduction factor
+    the means and covariance of the (Y, X) columns from _reduce, so the result
+    is bit-identical for any thread count.  A control without spread (v = 0,
+    zero volatility) has Var(X) = 0 exactly and gets beta = 0, which is the
+    plain estimate.  Exploded paths are left out of both columns.
+    Diagnostics add beta and the variance-reduction factor
     Var(Y) / Var(Y - beta X).
     """
     if not T > 0.0:
@@ -474,32 +487,17 @@ def mc_asian_price_cv(
         valid = ~blk["exploded"]
         y = payoff.value(blk["avgs"]["S"][valid])
         x = control(np.exp(m + np.einsum("ij,j->i", blk["dW"], a)[valid]))
-        return (
-            float(np.add.reduce(y)),
-            float(np.add.reduce(y * y)),
-            int(valid.sum()),
-            int((~valid).sum()),
-            float(np.add.reduce(x)),
-            float(np.add.reduce(x * x)),
-            float(np.add.reduce(x * y)),
-        )
+        return [y, x], int((~valid).sum()), 0
 
-    parts = _map_blocks(block_fn, _block_ranges(cfg.n_paths), cfg.threads)
-    disc = math.exp(-params.r * T)
-    plain = _assemble([p[:4] for p in parts], cfg.n_paths, disc, "mc-price-asian-cv")
-    n = plain.n_paths
-    y_bar, yy, x_bar, xx, xy = (math.fsum(p[i] for p in parts) / n for i in (0, 1, 4, 5, 6))
-    var_y = max(yy - y_bar * y_bar, 0.0)
-    var_x = xx - x_bar * x_bar
-    cov = xy - x_bar * y_bar
-    beta = cov / var_x if v > 0.0 and var_x > 0.0 else 0.0
-    resid = max(var_y - beta * cov, 0.0)
+    n, (y_bar, x_bar), cov, excluded, _ = _reduce(block_fn, cfg)
+    var_y = float(cov[0, 0])
+    beta = float(cov[0, 1] / cov[1, 1]) if cov[1, 1] > 0.0 else 0.0
+    resid = max(var_y - beta * float(cov[0, 1]), 0.0)
     vr = var_y / resid if resid > 0.0 else (1.0 if var_y == 0.0 else math.inf)
-    return replace(
-        plain,
-        mean=disc * (y_bar - beta * (x_bar - control_mean)),
-        std_error=disc * math.sqrt(resid / n),
-        diagnostics={**plain.diagnostics, "beta": beta, "vr_factor": vr},
+    disc = math.exp(-params.r * T)
+    return McEstimate(
+        disc * (y_bar - beta * (x_bar - control_mean)), disc * math.sqrt(resid / n), n,
+        "mc-price-asian-cv", {"excluded": excluded, "beta": beta, "vr_factor": vr},
     )
 
 
@@ -536,17 +534,13 @@ def mc_delta_fd(
             payoff.value(_style_values(up, style)[valid])
             - payoff.value(_style_values(dn, style)[valid])
         ) / denom
-        return (
-            float(np.add.reduce(v)),
-            float(np.add.reduce(v * v)),
-            int(valid.sum()),
-            int((~valid).sum()),
-        )
+        return [v], int((~valid).sum()), 0
 
-    parts = _map_blocks(block_fn, _block_ranges(cfg.n_paths), cfg.threads)
-    return _assemble(
-        parts, cfg.n_paths, math.exp(-params.r * T), f"mc-delta-fd-{style}",
-        extra={"bump": bump},
+    n, mean, cov, excluded, _ = _reduce(block_fn, cfg)
+    disc = math.exp(-params.r * T)
+    return McEstimate(
+        disc * mean[0], disc * math.sqrt(cov[0, 0] / n), n, f"mc-delta-fd-{style}",
+        {"excluded": excluded, "bump": bump},
     )
 
 
@@ -684,63 +678,13 @@ def mc_delta_malliavin(
             w, flagged = _european_weights(blk, params, T, dt)
             target = blk["terminal"]["S"]
         valid = ~blk["exploded"]
-        v = payoff.value(target[valid]) * w[valid]
-        return (
-            float(np.add.reduce(v)),
-            float(np.add.reduce(v * v)),
-            int(valid.sum()),
-            int((~valid).sum()),
-            float(np.add.reduce(w[valid])),
-            float(np.add.reduce(w[valid] * w[valid])),
-            int(flagged[valid].sum()),
-        )
+        cols = [payoff.value(target[valid]) * w[valid], w[valid]]
+        return cols, int((~valid).sum()), int(flagged[valid].sum())
 
-    parts = _map_blocks(block_fn, _block_ranges(cfg.n_paths), cfg.threads)
-    n_valid = int(sum(p[2] for p in parts))
-    w_mean = math.fsum(p[4] for p in parts) / max(n_valid, 1)
-    w_sq = math.fsum(p[5] for p in parts) / max(n_valid, 1)
-    extra = {
-        "flagged": int(sum(p[6] for p in parts)),
-        "weight_mean": w_mean,
-        "weight_var": max(w_sq - w_mean * w_mean, 0.0),
-    }
-    return _assemble(
-        [p[:4] for p in parts], cfg.n_paths, math.exp(-params.r * T),
-        f"mc-delta-malliavin-{style}", extra=extra,
+    n, mean, cov, excluded, flagged = _reduce(block_fn, cfg)
+    disc = math.exp(-params.r * T)
+    return McEstimate(
+        disc * mean[0], disc * math.sqrt(cov[0, 0] / n), n, f"mc-delta-malliavin-{style}",
+        {"excluded": excluded, "flagged": flagged, "weight_mean": mean[1],
+         "weight_var": float(cov[1, 1])},
     )
-
-
-def geometric_mc_crosscheck(
-    sigma: float,
-    params: MarketParams,
-    payoff: PayoffSpec,
-    T: float,
-    cfg: SimConfig,
-) -> McEstimate:
-    """Monte Carlo of the geometric-average payoff under flat Black-Scholes.
-
-    Exists to validate the closed-form geometric_bs prices; sigma = 0 is
-    the deterministic degenerate case.
-    """
-    if not sigma >= 0.0:
-        raise DomainError(f"sigma must be nonnegative, got {sigma}")
-    est = mc_price(ConstantVol(sigma), params, payoff, "geometric", T, cfg)
-    return replace(est, estimator="mc-geometric-crosscheck")
-
-
-# ---------------------------------------------------------------------------
-# path dumps
-# ---------------------------------------------------------------------------
-
-def write_paths_csv(fileobj, bundle: PathBundle, columns: Iterable[str] = ("S", "X", "Y", "Z")):
-    """Write paths as CSV rows ``path,step,t,<columns>`` at full precision."""
-    cols = [c for c in columns]
-    missing = [c for c in cols if c not in bundle.processes]
-    if missing:
-        raise ValidationError(f"process '{missing[0]}' not present in the bundle")
-    fileobj.write("path,step,t," + ",".join(cols) + "\n")
-    n, steps_p1 = bundle.processes[cols[0]].shape if cols else (0, 0)
-    for i in range(n):
-        for j in range(steps_p1):
-            vals = ",".join(repr(float(bundle.processes[c][i, j])) for c in cols)
-            fileobj.write(f"{i},{j},{bundle.t[j]!r},{vals}\n")

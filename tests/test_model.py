@@ -14,7 +14,6 @@ from asianvol.model import (
     TimeScaledVol,
     check_assumptions,
     market_from_config,
-    payoff_eval,
     payoff_from_config,
     surface_from_config,
     tabulated_from_csv,
@@ -282,7 +281,7 @@ class TestPayoffs:
 
     def test_payoff_eval_is_vectorized(self):
         call = PayoffSpec(family="call", strike=100.0)
-        out = payoff_eval(call, np.array([90.0, 100.0, 130.0]))
+        out = call.value(np.array([90.0, 100.0, 130.0]))
         assert np.allclose(out, [0.0, 0.0, 30.0])
 
     @pytest.mark.parametrize(

@@ -1,7 +1,5 @@
 """Tests for the path engine and Monte Carlo estimators."""
 
-import csv
-import io
 import math
 import warnings
 
@@ -22,13 +20,12 @@ from asianvol.montecarlo import (
     SimConfig,
     _control,
     _frozen_log_average,
-    geometric_mc_crosscheck,
+    _reduce,
     mc_asian_price_cv,
     mc_delta_fd,
     mc_delta_malliavin,
     mc_price,
     simulate,
-    write_paths_csv,
 )
 from asianvol._rng import BLOCK, normal_block
 from asianvol.asymptotics import geometric_bs
@@ -273,8 +270,8 @@ class TestMcPrice:
         sigma, T, K = 0.2, 0.25, 100.0
         price, _ = geometric_bs(sigma, FLAT, "call", K, T)
         cfg = SimConfig(steps=200, n_paths=100000, seed=21)
-        est = geometric_mc_crosscheck(sigma, FLAT, PayoffSpec("call", strike=K), T, cfg)
-        assert est.estimator == "mc-geometric-crosscheck"
+        est = mc_price(ConstantVol(sigma), FLAT, PayoffSpec("call", strike=K), "geometric", T, cfg)
+        assert est.estimator == "mc-price-geometric"
         assert abs(est.mean - price) < max(4 * est.std_error, 2e-3), (
             f"mc {est.mean:.5f} vs closed {price:.5f}"
         )
@@ -282,11 +279,18 @@ class TestMcPrice:
     def test_degenerate_sigma_zero_is_deterministic(self):
         params = MarketParams(100.0, 0.03, 0.0)
         cfg = SimConfig(steps=20, n_paths=100, seed=1)
-        est = geometric_mc_crosscheck(0.0, params, CALL, 1.0, cfg)
+        est = mc_price(ConstantVol(0.0), params, CALL, "geometric", 1.0, cfg)
         # deterministic path: geometric average is S0 exp(r T / 2)
         exact = math.exp(-0.03) * (100.0 * math.exp(0.015) - 100.0)
         assert est.std_error == 0.0
         assert math.isclose(est.mean, exact, rel_tol=1e-12)
+
+    def test_identical_asian_payoffs_have_zero_std_error(self):
+        # 100 equal payoffs that are not exactly representable: a one-pass
+        # variance formula reads its own cancellation here, not a spread
+        params = MarketParams(100.0, 0.03, 0.0)
+        est = mc_price(ConstantVol(0.0), params, CALL, "asian", 1.0, SimConfig(20, 100, 1))
+        assert est.std_error == 0.0
 
     def test_standard_error_scales_as_inverse_sqrt_paths(self):
         small = mc_price(SKEW, FLAT, CALL, "asian", 0.5, SimConfig(50, 20000, 17))
@@ -457,8 +461,8 @@ class TestFdDelta:
         t = np.linspace(0, 0.5, 31)
         expect = math.exp(-0.05 * 0.5) * np.trapezoid(np.exp(0.04 * t), t) / 0.5
         assert abs(est.mean - expect) < 1e-10
-        # identical paths: any residual spread is pure variance-formula roundoff
-        assert est.std_error < 1e-8
+        # identical paths have no spread at all
+        assert est.std_error == 0.0
 
     def test_european_call_delta_against_black_scholes(self):
         sigma, T = 0.25, 0.5
@@ -575,30 +579,58 @@ class TestMalliavinDelta:
 
 
 # ---------------------------------------------------------------------------
-# path dumps
+# the block reducer
 # ---------------------------------------------------------------------------
 
-class TestPathsCsv:
-    def test_header_and_roundtrip(self):
-        cfg = SimConfig(steps=5, n_paths=4, seed=2)
-        b = simulate(SKEW, DRIFTY, 0.5, cfg)
-        buf = io.StringIO()
-        write_paths_csv(buf, b)
-        buf.seek(0)
-        rows = list(csv.reader(buf))
-        assert rows[0] == ["path", "step", "t", "S", "X", "Y", "Z"]
-        assert len(rows) == 1 + 4 * 6
-        # full-precision round trip of an arbitrary cell
-        i, j = 2, 3
-        row = rows[1 + i * 6 + j]
-        assert float(row[3]) == b.processes["S"][i, j]
-        assert float(row[0]) == i and float(row[1]) == j
+def column_blocks(data, keep, excluded=lambda lo, hi: 0):
+    """A block_fn over synthetic columns: the kept paths of each block,
+    which also flags one path per block."""
+    return lambda lo, hi: ([row[lo:hi][keep[lo:hi]] for row in data], excluded(lo, hi), 1)
 
-    def test_missing_process_rejected(self):
-        cfg = SimConfig(steps=5, n_paths=2, seed=2, include_flags=("S",))
-        b = simulate(SKEW, FLAT, 0.5, cfg)
-        with pytest.raises(ValidationError, match="Y"):
-            write_paths_csv(io.StringIO(), b, columns=("S", "Y"))
+
+class TestReduce:
+    def test_matches_numpy_two_pass_moments(self):
+        # four blocks; the kept paths are ragged and the second block keeps none
+        n_paths = 3 * BLOCK + 123
+        rng = np.random.default_rng(5)
+        cov = [[4.0, -1.5], [-1.5, 1.0]]
+        data = np.array([1e6, -3e5]) + rng.multivariate_normal([0, 0], cov, n_paths)
+        data = np.ascontiguousarray(data.T)
+        keep = rng.random(n_paths) < 0.7
+        keep[BLOCK:2 * BLOCK] = False
+        n, means, got, excluded, flagged = _reduce(
+            column_blocks(data, keep), SimConfig(2, n_paths, 0, threads=2)
+        )
+        assert (n, excluded, flagged) == (int(keep.sum()), 0, 4)
+        np.testing.assert_allclose(means, data[:, keep].mean(axis=1), rtol=1e-14)
+        # the raw-moment formula loses ~1e-4 of this covariance to cancellation
+        np.testing.assert_allclose(got, np.cov(data[:, keep], bias=True), rtol=1e-9)
+
+    def test_means_are_compensated_sums_of_block_sums(self):
+        n_paths = 2 * BLOCK + 123
+        data = np.random.default_rng(6).standard_normal((1, n_paths))
+        keep = np.ones(n_paths, dtype=bool)
+        _, means, _, _, _ = _reduce(column_blocks(data, keep), SimConfig(2, n_paths, 0))
+        blocks = (data[0, lo:lo + BLOCK] for lo in range(0, n_paths, BLOCK))
+        assert means[0] == math.fsum(float(np.add.reduce(b)) for b in blocks) / n_paths
+
+    @pytest.mark.parametrize("n_exc, raises", [(3, False), (4, True)])
+    def test_explosion_guard_at_one_in_a_thousand(self, n_exc, raises):
+        n_paths = 3000 + n_exc
+        data = np.ones((1, n_paths))
+        keep = np.arange(n_paths) >= n_exc
+        fn = column_blocks(data, keep, excluded=lambda lo, hi: n_exc if lo == 0 else 0)
+        if raises:
+            with pytest.raises(NumericError, match="4 of 3004 paths exploded"):
+                _reduce(fn, SimConfig(2, n_paths, 0))
+        else:
+            n, means, cov, excluded, _ = _reduce(fn, SimConfig(2, n_paths, 0))
+            assert (n, means, cov.tolist(), excluded) == (3000, [1.0], [[0.0]], 3)
+
+    def test_no_valid_path_trips_the_guard(self):
+        fn = column_blocks(np.ones((1, 5)), np.zeros(5, dtype=bool), excluded=lambda lo, hi: 5)
+        with pytest.raises(NumericError, match="5 of 5 paths exploded"):
+            _reduce(fn, SimConfig(2, 5, 0))
 
 
 # ---------------------------------------------------------------------------
