@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -271,28 +271,45 @@ class AsymptoticQuote:
     quadrature: QuadratureInfo
 
 
-def _check_price_args(payoff: PayoffSpec, S0: float, vol: float, T: float) -> float:
+def _bachelier(w: float, p: PayoffSpec, S0: float, s: float):
+    """Exact normal-model price and delta for stdev s; w = 1 call, w = -1 put."""
+    d = (S0 - p.strike) / s
+    return w * (S0 - p.strike) * ndtr(w * d) + s * float(_phi(d)), w * float(ndtr(w * d))
+
+
+# families whose Gaussian expectation is known: method, and (price, delta)
+# as a function of (payoff, S0, s)
+_EXACT = {
+    "constant": ("exact", lambda p, S0, s: (p.level, 0.0)),
+    "linear": ("exact", lambda p, S0, s: (p.slope * S0 + p.intercept, p.slope)),
+    "call": ("closed-form", partial(_bachelier, 1.0)),
+    "put": ("closed-form", partial(_bachelier, -1.0)),
+}
+
+
+def _quote(kind, payoff, S0, vol, T, tol, style, force_quadrature) -> AsymptoticQuote:
+    """The leading-order price or delta: a closed form from _EXACT, else quadrature."""
     if not S0 > 0.0:
         raise DomainError(f"S0 must be positive, got {S0}")
     if not vol > 0.0:
         raise DomainError(f"vol must be positive, got {vol}")
     if not T > 0.0:
         raise DomainError(f"T must be positive, got {T}")
-    if payoff.grows_superlinearly:
-        raise DomainError("payoffs growing faster than linearly are not integrable here")
-    return S0 * vol * math.sqrt(T)
-
-
-def _kinks_z(payoff: PayoffSpec, S0: float, s: float):
-    return tuple((k - S0) / s for k in payoff.kinks())
-
-
-def _bachelier(S0: float, K: float, s: float, family: str):
-    """Exact normal-model call/put price and delta for stdev s."""
-    d = (S0 - K) / s
-    if family == "call":
-        return (S0 - K) * ndtr(d) + s * float(_phi(d)), float(ndtr(d))
-    return (K - S0) * ndtr(-d) + s * float(_phi(d)), -float(ndtr(-d))
+    s = S0 * vol * math.sqrt(T)
+    inputs = {"payoff": payoff.to_config(), "S0": S0, "vol": vol, "T": T}
+    order = payoff.holder_gamma if kind == "price" else payoff.holder_gamma - 0.5
+    if payoff.family in _EXACT and not force_quadrature:
+        method, fn = _EXACT[payoff.family]
+        val = fn(payoff, S0, s)[0 if kind == "price" else 1]
+        return AsymptoticQuote(val, kind, style, order, inputs, QuadratureInfo(method, 0, 0.0, 0.0))
+    if kind == "price":
+        f = lambda z: payoff.value(S0 + s * z)
+    else:
+        base = payoff.value(S0)
+        f = lambda z: (payoff.value(S0 + s * z) - base) * z / s
+    kinks = tuple((k - S0) / s for k in payoff.kinks())
+    val, info = gaussian_expectation(f, kinks=kinks, tol=tol)
+    return AsymptoticQuote(val, kind, style, order, inputs, info)
 
 
 def asym_price(
@@ -311,30 +328,7 @@ def asym_price(
     are exact; everything else is quadrature (``force_quadrature`` routes
     even call/put through the quadrature engine, used for cross-checks).
     """
-    s = _check_price_args(payoff, S0, vol, T)
-    inputs = {"payoff": payoff.to_config(), "S0": S0, "vol": vol, "T": T}
-    order = payoff.holder_gamma
-
-    fam = payoff.family
-    if fam == "constant" and not force_quadrature:
-        return AsymptoticQuote(
-            payoff.level, "price", style, order, inputs, QuadratureInfo("exact", 0, 0.0, 0.0)
-        )
-    if fam == "linear" and not force_quadrature:
-        val = payoff.slope * S0 + payoff.intercept
-        return AsymptoticQuote(
-            val, "price", style, order, inputs, QuadratureInfo("exact", 0, 0.0, 0.0)
-        )
-    if fam in ("call", "put") and not force_quadrature:
-        val, _ = _bachelier(S0, payoff.strike, s, fam)
-        return AsymptoticQuote(
-            val, "price", style, order, inputs, QuadratureInfo("closed-form", 0, 0.0, 0.0)
-        )
-
-    val, info = gaussian_expectation(
-        lambda z: payoff.value(S0 + s * z), kinks=_kinks_z(payoff, S0, s), tol=tol
-    )
-    return AsymptoticQuote(val, "price", style, order, inputs, info)
+    return _quote("price", payoff, S0, vol, T, tol, style, force_quadrature)
 
 
 def asym_delta(
@@ -352,32 +346,7 @@ def asym_delta(
     O(1) as T -> 0 for payoffs differentiable at S0 instead of oscillating
     at scale 1/s.  Calls have the closed form N(d), puts -N(-d).
     """
-    s = _check_price_args(payoff, S0, vol, T)
-    inputs = {"payoff": payoff.to_config(), "S0": S0, "vol": vol, "T": T}
-    order = payoff.holder_gamma - 0.5
-
-    fam = payoff.family
-    if fam == "constant" and not force_quadrature:
-        return AsymptoticQuote(
-            0.0, "delta", style, order, inputs, QuadratureInfo("exact", 0, 0.0, 0.0)
-        )
-    if fam == "linear" and not force_quadrature:
-        return AsymptoticQuote(
-            payoff.slope, "delta", style, order, inputs, QuadratureInfo("exact", 0, 0.0, 0.0)
-        )
-    if fam in ("call", "put") and not force_quadrature:
-        _, delta = _bachelier(S0, payoff.strike, s, fam)
-        return AsymptoticQuote(
-            delta, "delta", style, order, inputs, QuadratureInfo("closed-form", 0, 0.0, 0.0)
-        )
-
-    base = payoff.value(S0)
-    val, info = gaussian_expectation(
-        lambda z: (payoff.value(S0 + s * z) - base) * z / s,
-        kinks=_kinks_z(payoff, S0, s),
-        tol=tol,
-    )
-    return AsymptoticQuote(val, "delta", style, order, inputs, info)
+    return _quote("delta", payoff, S0, vol, T, tol, style, force_quadrature)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ from .asymptotics import (
     vol_quote,
 )
 from .errors import DomainError, NumericError, ValidationError
-from .harness import asymptotics_error_study, compare_experiment
+from .harness import asym_price_value, asymptotics_error_study, compare_experiment
 from .approxlab import refined_fit
 from .ldp import decay_slope, problem_from_surface, rate_function, rate_function_shooting
 from .model import (
@@ -300,15 +300,11 @@ def _write_summary(path: Path, summary: dict) -> None:
 
 
 def _term_vol(surface, S0: float, style: str, T: float) -> float:
-    return asian_vol(surface, S0, T) if style == "asian" else european_vol(surface, S0, T)
-
-
-def _asym_price_value(surface, S0: float, payoff, style: str, T: float) -> float:
-    v = _term_vol(surface, S0, style, T)
-    if v > 0.0:
-        return asym_price(payoff, S0, v, T, style=style).value
-    # zero averaged vol: the quote degenerates to the intrinsic value
-    return float(payoff.value(np.array([S0]))[0])
+    if style == "asian":
+        return asian_vol(surface, S0, T)
+    if style == "european":
+        return european_vol(surface, S0, T)
+    raise ValidationError(f"style must be asian or european, got '{style}'")
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +344,8 @@ def _cmd_price(cfg, threads, outdir, resolved):
         est = mc_price(surface, market, payoff, style, T, sim)
         mc_val, se = est.mean, est.std_error
     if method in ("asym", "both"):
-        quote = _asym_price_value(surface, market.S0, payoff, style, T)
+        vol = _term_vol(surface, market.S0, style, T)
+        quote = asym_price_value(payoff, market.S0, vol, T, style)
     _write_csv(
         outdir / "price.csv",
         resolved,
@@ -544,6 +541,13 @@ def _market(c: dict) -> MarketParams:
     return MarketParams(S0=float(c["S0"]), r=float(c.get("r", 0.0)), q=float(c.get("q", 0.0)))
 
 
+def _sim(c: dict, threads: int, paths: str = "n_paths", seed: str = "seed") -> SimConfig:
+    """The criterion's SimConfig: steps, and paths and seed from the named keys."""
+    return SimConfig(
+        steps=int(c["steps"]), n_paths=int(c[paths]), seed=int(c[seed]), threads=threads
+    )
+
+
 def _crit_01(c, threads):
     """Constant vol: the Asian/European vol ratio is 1/sqrt(3) exactly."""
     target = 1.0 / math.sqrt(3.0)
@@ -566,10 +570,7 @@ def _crit_02(c, threads):
     """Asian MC price approaches the quote at first order in T."""
     surface = ConstantVol(float(c["sigma"]))
     payoff = PayoffSpec("call", strike=float(c["K"]))
-    sim = SimConfig(
-        steps=int(c["steps"]), n_paths=int(c["n_paths_base"]), seed=int(c["seed"]),
-        threads=threads,
-    )
+    sim = _sim(c, threads, paths="n_paths_base")
     report, rows = asymptotics_error_study(
         surface, _market(c), payoff, "asian", "price",
         [float(T) for T in c["t_grid"]], sim,
@@ -602,10 +603,7 @@ def _crit_03(c, threads):
     surface = ConstantVol(float(c["sigma"]))
     market = _market(c)
     payoff = PayoffSpec("call", strike=float(c["S0"]))
-    simp = SimConfig(
-        steps=int(c["steps"]), n_paths=int(c["point_paths"]), seed=int(c["seed"]),
-        threads=threads,
-    )
+    simp = _sim(c, threads, paths="point_paths")
     T0 = float(c["T_point"])
     fd = mc_delta_fd(surface, market, payoff, "asian", T0, simp, bump=float(c["bump"]))
     ml = mc_delta_malliavin(surface, market, payoff, "asian", T0, simp)
@@ -613,10 +611,7 @@ def _crit_03(c, threads):
     z_ml = abs(ml.mean - 0.5) / ml.std_error
     ok_point = z_fd <= 3.0 and z_ml <= 3.0
 
-    simg = SimConfig(
-        steps=int(c["steps"]), n_paths=int(c["n_paths_base"]), seed=int(c["seed_grid"]),
-        threads=threads,
-    )
+    simg = _sim(c, threads, paths="n_paths_base", seed="seed_grid")
     report, _ = asymptotics_error_study(
         surface, market, payoff, "asian", "delta-fd",
         [float(T) for T in c["t_grid"]], simg, 0.5, slack=float(c["slack"]),
@@ -637,10 +632,7 @@ def _crit_04(c, threads):
     surface = ConstantVol(float(c["sigma"]))
     market = _market(c)
     payoff = PayoffSpec("call", strike=float(c["K"]))
-    sim = SimConfig(
-        steps=int(c["steps"]), n_paths=int(c["n_paths"]), seed=int(c["seed"]),
-        threads=threads,
-    )
+    sim = _sim(c, threads)
     floor = float(c["tol_floor"])
     worst_ratio, worst_T = 0.0, math.nan
     for T in c["t_grid"]:
@@ -664,10 +656,7 @@ def _crit_05(c, threads):
     surface = ConstantVol(sigma)
     market = _market(c)
     payoff = PayoffSpec("power-call", strike=S0, exponent=gamma)
-    sim = SimConfig(
-        steps=int(c["steps"]), n_paths=int(c["n_paths"]), seed=int(c["seed"]),
-        threads=threads,
-    )
+    sim = _sim(c, threads)
     grid = [float(T) for T in np.geomspace(float(c["t_lo"]), float(c["t_hi"]), int(c["n_t"]))]
     prices = [mc_price(surface, market, payoff, "asian", T, sim).mean for T in grid]
     slope, loga = np.polyfit(np.log(grid), np.log(prices), 1)
@@ -687,10 +676,7 @@ def _crit_05(c, threads):
 def _crit_06(c, threads):
     """Each process pair is L^p-close at first order in t (slope about 2 for p=2)."""
     grid = [float(t) for t in np.geomspace(float(c["t_lo"]), float(c["t_hi"]), int(c["n_t"]))]
-    sim = SimConfig(
-        steps=int(c["steps"]), n_paths=int(c["n_paths"]), seed=int(c["seed"]),
-        threads=threads,
-    )
+    sim = _sim(c, threads)
     min_slope, min_r2 = float(c["min_slope"]), float(c["min_r2"])
     ok = True
     bits = []
@@ -827,10 +813,7 @@ def _crit_08(c, threads):
     surface = ConstantVol(float(c["sigma"]))
     market = _market(c)
     payoff = PayoffSpec("call", strike=float(c["K"]))
-    sim = SimConfig(
-        steps=int(c["steps"]), n_paths=int(c["n_paths_base"]), seed=int(c["seed"]),
-        threads=threads,
-    )
+    sim = _sim(c, threads, paths="n_paths_base")
     slack = float(c["slack"])
     table = compare_experiment(
         surface, market, payoff, [float(T) for T in c["t_grid"]], sim,

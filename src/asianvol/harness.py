@@ -47,6 +47,7 @@ __all__ = [
     "convergence_report",
     "asymptotics_error_study",
     "compare_experiment",
+    "asym_price_value",
 ]
 
 DEFAULT_T_GRID = (0.2, 0.1, 0.05, 0.025, 0.0125)
@@ -224,6 +225,14 @@ def asymptotics_error_study(
 # comparison experiment
 # ---------------------------------------------------------------------------
 
+def asym_price_value(payoff: PayoffSpec, S0: float, vol: float, T: float, style: str) -> float:
+    """The asymptotic price; at vol = 0 the intrinsic value phi(S0), the
+    s -> 0 limit of the Gaussian proxy (the quote itself requires vol > 0)."""
+    if vol > 0.0:
+        return asym_price(payoff, S0, vol, T, style=style).value
+    return float(payoff.value(np.array([S0]))[0])
+
+
 def _bs_price(S0, K, r, q, sigma, T, family):
     """Vanilla European closed form; sigma = 0 degenerates to intrinsic."""
     disc_r, disc_q = math.exp(-r * T), math.exp(-q * T)
@@ -317,13 +326,7 @@ def compare_experiment(
         va, ve = asian_vol(surface, S0, T), european_vol(surface, S0, T)
         out["mc"][i] = est.mean
         out["se"][i] = est.std_error
-        # vol = 0 degenerates to the intrinsic value, the s -> 0 limit of
-        # the Gaussian proxy (the quote itself requires vol > 0)
-        out["asym"][i] = (
-            asym_price(payoff, S0, va, T, style="asian").value
-            if va > 0.0
-            else float(payoff.value(np.array([S0]))[0])
-        )
+        out["asym"][i] = asym_price_value(payoff, S0, va, T, "asian")
         out["matched"][i] = _bs_price(S0, K, params.r, params.q, va, T, payoff.family)
         out["unmatched"][i] = _bs_price(S0, K, params.r, params.q, ve, T, payoff.family)
         if geo_enabled:

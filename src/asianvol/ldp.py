@@ -134,10 +134,10 @@ def _vectorized_sigma(sigma):
     def call(levels: np.ndarray) -> np.ndarray:
         try:
             out = np.asarray(sigma(levels), dtype=float)
-            if out.shape == levels.shape:
-                return out
-        except Exception:
-            pass
+        except (TypeError, ValueError):
+            out = None
+        if out is not None and out.shape == levels.shape:
+            return out
         return np.array([float(sigma(lvl)) for lvl in levels])
 
     return call

@@ -25,13 +25,18 @@ Payoffs are plain functions of the average (or terminal) level; the
 supported families carry their strike-type parameters, their kink
 locations, and a Holder modulus ``|phi(x) - phi(y)| <= beta |x - y|^gamma``
 that downstream error estimates rely on.
+
+Each family is one table row: ``_SURFACES`` maps it to its class, whose
+constructor signature gives the config keys, and ``_PAYOFFS`` holds a
+payoff family's config keys, validation, value, kinks and Holder modulus.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -185,7 +190,12 @@ class LocalVolSurface:
         return None
 
     def to_config(self) -> dict:
-        raise NotImplementedError
+        """The constructor's arguments, read back from same-named attributes."""
+        cfg = {"family": self.family}
+        for name in inspect.signature(type(self)).parameters:
+            v = getattr(self, name)
+            cfg[name] = v.tolist() if isinstance(v, np.ndarray) else v
+        return cfg
 
 
 class ConstantVol(LocalVolSurface):
@@ -215,6 +225,7 @@ class ConstantVol(LocalVolSurface):
         return (self.level, self.level)
 
     def to_config(self):
+        # stored as ``level``: ``sigma`` is the evaluation method
         return {"family": "constant", "sigma": self.level}
 
 
@@ -247,9 +258,6 @@ class TimeScaledVol(LocalVolSurface):
     @property
     def is_time_dependent(self):
         return True
-
-    def to_config(self):
-        return {"family": "time-scaled", "c0": self.c0, "c1": self.c1, "c2": self.c2}
 
 
 class CappedPowerVol(LocalVolSurface):
@@ -327,16 +335,6 @@ class CappedPowerVol(LocalVolSurface):
             return (self.floor, self.cap)
         return None
 
-    def to_config(self):
-        return {
-            "family": "capped-power",
-            "sref": self.sref,
-            "xref": self.xref,
-            "exponent": self.exponent,
-            "floor": self.floor,
-            "cap": self.cap,
-        }
-
 
 class TabulatedVol(LocalVolSurface):
     """Bilinear interpolation of sigma on a rectangular (t, x) grid.
@@ -412,14 +410,6 @@ class TabulatedVol(LocalVolSurface):
         # bilinear interpolation cannot leave the hull of the node values
         return (float(self.values.min()), float(self.values.max()))
 
-    def to_config(self):
-        return {
-            "family": "tabulated-grid",
-            "ts": self.ts.tolist(),
-            "xs": self.xs.tolist(),
-            "values": self.values.tolist(),
-        }
-
 
 def vol_at(surface: LocalVolSurface, t: float, x: float) -> VolPoint:
     """Point evaluation of sigma and the diffusion-coefficient derivatives."""
@@ -434,11 +424,122 @@ def vol_at(surface: LocalVolSurface, t: float, x: float) -> VolPoint:
 # payoffs
 # ---------------------------------------------------------------------------
 
+_REQUIRED = inspect.Parameter.empty  # a config key with no default
+
+
+class _PayoffFamily(NamedTuple):
+    """One payoff family.  ``keys`` maps each parameter the family reads to
+    its config default (``_REQUIRED`` if it has none); the callables take the
+    :class:`PayoffSpec`, and ``value`` also a 1-D float array of levels."""
+
+    keys: dict
+    check: Callable
+    value: Callable
+    kinks: Callable
+    beta: Callable = lambda p: 1.0
+    gamma: Callable = lambda p: 1.0
+
+
+def _check_strike(p) -> None:
+    if not (np.isfinite(p.strike) and p.strike > 0.0):
+        raise ValidationError(f"{p.family} strike must be positive, got {p.strike}")
+
+
+def _check_power_call(p) -> None:
+    _check_strike(p)
+    if not (0.0 < p.exponent <= 1.0):
+        raise ValidationError(f"power-call exponent must be in (0, 1], got {p.exponent}")
+
+
+def _check_capped_power(p) -> None:
+    _check_strike(p)
+    if not (0.0 <= p.exponent < 1.0):
+        raise ValidationError(
+            f"capped-power exponent (the eps in 1+eps) must be in [0, 1), got {p.exponent}"
+        )
+    if not (np.isfinite(p.cap_width) and p.cap_width > 0.0):
+        raise ValidationError(f"capped-power cap_width must be positive, got {p.cap_width}")
+
+
+def _check_linear(p) -> None:
+    if not (np.isfinite(p.slope) and np.isfinite(p.intercept)):
+        raise ValidationError("linear payoff needs finite slope and intercept")
+
+
+def _check_constant(p) -> None:
+    if not np.isfinite(p.level):
+        raise ValidationError(f"constant payoff level must be finite, got {p.level}")
+
+
+def _check_table(p) -> None:
+    if p.table_x is None or p.table_y is None:
+        raise ValidationError("user-table payoff needs table_x and table_y")
+    tx = np.asarray(p.table_x, dtype=float)
+    ty = np.asarray(p.table_y, dtype=float)
+    if tx.ndim != 1 or tx.shape != ty.shape or len(tx) < 2:
+        raise ValidationError("user-table needs matching 1-D x and y, length >= 2")
+    if np.any(np.diff(tx) <= 0.0):
+        raise ValidationError("user-table x values must be strictly increasing")
+    if not (np.all(np.isfinite(tx)) and np.all(np.isfinite(ty))):
+        raise ValidationError("user-table entries must be finite")
+
+
+def _table_value(p, x):
+    tx = np.asarray(p.table_x)
+    ty = np.asarray(p.table_y)
+    if np.any(x < tx[0]) or np.any(x > tx[-1]):
+        raise DomainError(f"user-table payoff evaluated outside [{tx[0]}, {tx[-1]}]")
+    return np.interp(x, tx, ty)
+
+
+def _table_beta(p) -> float:
+    slopes = np.abs(np.diff(p.table_y) / np.diff(p.table_x))
+    return float(max(slopes.max(), 1e-300))
+
+
+_PAYOFFS = {
+    "call": _PayoffFamily(
+        {"strike": _REQUIRED}, _check_strike,
+        lambda p, x: np.maximum(x - p.strike, 0.0), lambda p: (p.strike,),
+    ),
+    "put": _PayoffFamily(
+        {"strike": _REQUIRED}, _check_strike,
+        lambda p, x: np.maximum(p.strike - x, 0.0), lambda p: (p.strike,),
+    ),
+    "power-call": _PayoffFamily(
+        {"strike": _REQUIRED, "exponent": _REQUIRED}, _check_power_call,
+        lambda p, x: np.maximum(x - p.strike, 0.0) ** p.exponent, lambda p: (p.strike,),
+        gamma=lambda p: p.exponent,
+    ),
+    "capped-power": _PayoffFamily(
+        {"strike": _REQUIRED, "exponent": _REQUIRED, "cap_width": _REQUIRED},
+        _check_capped_power,
+        lambda p, x: np.clip(x - p.strike, 0.0, p.cap_width) ** (1.0 + p.exponent),
+        lambda p: (p.strike, p.strike + p.cap_width),
+        lambda p: (1.0 + p.exponent) * p.cap_width**p.exponent,
+    ),
+    "linear": _PayoffFamily(
+        {"slope": 1.0, "intercept": 0.0}, _check_linear,
+        lambda p, x: p.slope * x + p.intercept, lambda p: (),
+        lambda p: max(abs(p.slope), 1e-300),
+    ),
+    # any positive beta works for a flat payoff
+    "constant": _PayoffFamily(
+        {"level": _REQUIRED}, _check_constant,
+        lambda p, x: np.full_like(x, p.level), lambda p: (),
+    ),
+    "user-table": _PayoffFamily(
+        {"table_x": _REQUIRED, "table_y": _REQUIRED}, _check_table, _table_value,
+        lambda p: tuple(float(v) for v in p.table_x[1:-1]), _table_beta,
+    ),
+}
+
+
 @dataclass(frozen=True)
 class PayoffSpec:
     """A payoff function of the averaged (or terminal) level.
 
-    Families and their parameters:
+    Families and their parameters (one ``_PAYOFFS`` row each):
 
     * ``call`` / ``put``    : strike
     * ``power-call``        : strike, exponent in (0, 1]: (x - K)_+^exponent
@@ -465,78 +566,16 @@ class PayoffSpec:
     table_y: Optional[tuple] = None
 
     def __post_init__(self) -> None:
-        fam = self.family
-        if fam in ("call", "put"):
-            if not (np.isfinite(self.strike) and self.strike > 0.0):
-                raise ValidationError(f"{fam} strike must be positive, got {self.strike}")
-        elif fam == "power-call":
-            if not (np.isfinite(self.strike) and self.strike > 0.0):
-                raise ValidationError(f"power-call strike must be positive, got {self.strike}")
-            if not (0.0 < self.exponent <= 1.0):
-                raise ValidationError(
-                    f"power-call exponent must be in (0, 1], got {self.exponent}"
-                )
-        elif fam == "capped-power":
-            if not (np.isfinite(self.strike) and self.strike > 0.0):
-                raise ValidationError(f"capped-power strike must be positive, got {self.strike}")
-            if not (0.0 <= self.exponent < 1.0):
-                raise ValidationError(
-                    f"capped-power exponent (the eps in 1+eps) must be in [0, 1), "
-                    f"got {self.exponent}"
-                )
-            if not (np.isfinite(self.cap_width) and self.cap_width > 0.0):
-                raise ValidationError(
-                    f"capped-power cap_width must be positive, got {self.cap_width}"
-                )
-        elif fam == "linear":
-            if not (np.isfinite(self.slope) and np.isfinite(self.intercept)):
-                raise ValidationError("linear payoff needs finite slope and intercept")
-        elif fam == "constant":
-            if not np.isfinite(self.level):
-                raise ValidationError(f"constant payoff level must be finite, got {self.level}")
-        elif fam == "user-table":
-            if self.table_x is None or self.table_y is None:
-                raise ValidationError("user-table payoff needs table_x and table_y")
-            tx = np.asarray(self.table_x, dtype=float)
-            ty = np.asarray(self.table_y, dtype=float)
-            if tx.ndim != 1 or tx.shape != ty.shape or len(tx) < 2:
-                raise ValidationError("user-table needs matching 1-D x and y, length >= 2")
-            if np.any(np.diff(tx) <= 0.0):
-                raise ValidationError("user-table x values must be strictly increasing")
-            if not (np.all(np.isfinite(tx)) and np.all(np.isfinite(ty))):
-                raise ValidationError("user-table entries must be finite")
-        else:
-            raise ValidationError(f"unknown payoff family '{fam}'")
+        if not (isinstance(self.family, str) and self.family in _PAYOFFS):
+            raise ValidationError(f"unknown payoff family '{self.family}'")
+        _PAYOFFS[self.family].check(self)
 
     # evaluation ----------------------------------------------------------
 
     def value(self, x):
         xa = np.asarray(x, dtype=float)
         scalar = xa.ndim == 0
-        xa = np.atleast_1d(xa)
-        fam = self.family
-        if fam == "call":
-            out = np.maximum(xa - self.strike, 0.0)
-        elif fam == "put":
-            out = np.maximum(self.strike - xa, 0.0)
-        elif fam == "power-call":
-            out = np.maximum(xa - self.strike, 0.0) ** self.exponent
-        elif fam == "capped-power":
-            e = 1.0 + self.exponent
-            z = np.clip(xa - self.strike, 0.0, self.cap_width)
-            out = z**e
-        elif fam == "linear":
-            out = self.slope * xa + self.intercept
-        elif fam == "constant":
-            out = np.full_like(xa, self.level)
-        else:  # user-table
-            tx = np.asarray(self.table_x)
-            ty = np.asarray(self.table_y)
-            if np.any(xa < tx[0]) or np.any(xa > tx[-1]):
-                raise DomainError(
-                    f"user-table payoff evaluated outside [{tx[0]}, {tx[-1]}]"
-                )
-            out = np.interp(xa, tx, ty)
+        out = _PAYOFFS[self.family].value(self, np.atleast_1d(xa))
         return float(out[0]) if scalar else out
 
     def __call__(self, x):
@@ -546,61 +585,22 @@ class PayoffSpec:
 
     def kinks(self) -> tuple:
         """x-locations where the payoff or its derivative is discontinuous."""
-        fam = self.family
-        if fam in ("call", "put", "power-call"):
-            return (self.strike,)
-        if fam == "capped-power":
-            return (self.strike, self.strike + self.cap_width)
-        if fam == "user-table":
-            return tuple(float(v) for v in self.table_x[1:-1])
-        return ()
+        return _PAYOFFS[self.family].kinks(self)
 
     @property
     def holder_gamma(self) -> float:
-        if self.family == "power-call":
-            return self.exponent
-        return 1.0
+        return _PAYOFFS[self.family].gamma(self)
 
     @property
     def holder_beta(self) -> float:
-        fam = self.family
-        if fam in ("call", "put", "power-call"):
-            return 1.0
-        if fam == "capped-power":
-            return (1.0 + self.exponent) * self.cap_width**self.exponent
-        if fam == "linear":
-            return max(abs(self.slope), 1e-300)
-        if fam == "constant":
-            return 1.0  # any positive constant works for a flat payoff
-        slopes = np.abs(np.diff(self.table_y) / np.diff(self.table_x))
-        return float(max(slopes.max(), 1e-300))
-
-    @property
-    def grows_superlinearly(self) -> bool:
-        return False  # every supported family is at most linear at infinity
+        return _PAYOFFS[self.family].beta(self)
 
     def to_config(self) -> dict:
-        fam = self.family
-        if fam in ("call", "put"):
-            return {"family": fam, "strike": self.strike}
-        if fam == "power-call":
-            return {"family": fam, "strike": self.strike, "exponent": self.exponent}
-        if fam == "capped-power":
-            return {
-                "family": fam,
-                "strike": self.strike,
-                "exponent": self.exponent,
-                "cap_width": self.cap_width,
-            }
-        if fam == "linear":
-            return {"family": fam, "slope": self.slope, "intercept": self.intercept}
-        if fam == "constant":
-            return {"family": fam, "level": self.level}
-        return {
-            "family": fam,
-            "table_x": list(self.table_x),
-            "table_y": list(self.table_y),
-        }
+        cfg = {"family": self.family}
+        for key in _PAYOFFS[self.family].keys:
+            v = getattr(self, key)
+            cfg[key] = v if np.ndim(v) == 0 else list(v)
+        return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -731,23 +731,39 @@ def check_assumptions(
 # config factories (used by the CLI, handy in tests)
 # ---------------------------------------------------------------------------
 
-def _take(cfg: dict, what: str, required: tuple, optional: dict) -> dict:
-    """Pull exactly the allowed keys out of a config mapping."""
+def _take(cfg: dict, what: str, keys: dict) -> dict:
+    """Pull exactly the allowed keys out of a config mapping.
+
+    ``keys`` maps each allowed key to its default, or to ``_REQUIRED``.
+    """
     cfg = dict(cfg)
     out = {}
-    for key in required:
-        if key not in cfg:
+    for key, default in keys.items():
+        if key in cfg:
+            out[key] = cfg.pop(key)
+        elif default is _REQUIRED:
             raise ValidationError(f"{what}: missing required key '{key}'")
-        out[key] = cfg.pop(key)
-    for key, default in optional.items():
-        out[key] = cfg.pop(key, default)
+        else:
+            out[key] = default
     if cfg:
         raise ValidationError(f"{what}: unknown key '{sorted(cfg)[0]}'")
     return out
 
 
+def _take_family(cfg: dict, what: str, table: dict, keys_of) -> tuple:
+    """(family, parameters) of a family block; ``keys_of(row)`` gives its keys."""
+    if "family" not in cfg:
+        raise ValidationError(f"{what}: missing required key 'family'")
+    fam = cfg["family"]
+    if not (isinstance(fam, str) and fam in table):
+        raise ValidationError(f"{what}: unknown family '{fam}'")
+    kw = _take(cfg, what, {"family": _REQUIRED, **keys_of(table[fam])})
+    del kw["family"]
+    return fam, kw
+
+
 def market_from_config(cfg: dict) -> MarketParams:
-    kw = _take(cfg, "market", ("S0",), {"r": 0.0, "q": 0.0})
+    kw = _take(cfg, "market", {"S0": _REQUIRED, "r": 0.0, "q": 0.0})
     return MarketParams(**kw)
 
 
@@ -778,56 +794,20 @@ def tabulated_from_csv(path) -> TabulatedVol:
     return TabulatedVol(ts, xs, values)
 
 
+_SURFACES = {
+    cls.family: cls for cls in (ConstantVol, TimeScaledVol, CappedPowerVol, TabulatedVol)
+}
+
+
 def surface_from_config(cfg: dict) -> LocalVolSurface:
-    if "family" not in cfg:
-        raise ValidationError("surface: missing required key 'family'")
-    fam = cfg["family"]
-    if fam == "constant":
-        kw = _take(cfg, "surface", ("family", "sigma"), {})
-        return ConstantVol(kw["sigma"])
-    if fam == "time-scaled":
-        kw = _take(cfg, "surface", ("family", "c0"), {"c1": 0.0, "c2": 0.0})
-        return TimeScaledVol(kw["c0"], kw["c1"], kw["c2"])
-    if fam == "capped-power":
-        kw = _take(
-            cfg, "surface", ("family", "sref", "xref", "exponent", "floor", "cap"), {}
-        )
-        return CappedPowerVol(
-            kw["sref"], kw["xref"], kw["exponent"], kw["floor"], kw["cap"]
-        )
-    if fam == "tabulated-grid":
-        kw = _take(cfg, "surface", ("family", "ts", "xs", "values"), {})
-        return TabulatedVol(kw["ts"], kw["xs"], kw["values"])
-    raise ValidationError(f"surface: unknown family '{fam}'")
+    fam, kw = _take_family(
+        cfg, "surface", _SURFACES,
+        lambda cls: {p.name: p.default for p in inspect.signature(cls).parameters.values()},
+    )
+    return _SURFACES[fam](**kw)
 
 
 def payoff_from_config(cfg: dict) -> PayoffSpec:
-    if "family" not in cfg:
-        raise ValidationError("payoff: missing required key 'family'")
-    fam = cfg["family"]
-    if fam in ("call", "put"):
-        kw = _take(cfg, "payoff", ("family", "strike"), {})
-        return PayoffSpec(family=fam, strike=kw["strike"])
-    if fam == "power-call":
-        kw = _take(cfg, "payoff", ("family", "strike", "exponent"), {})
-        return PayoffSpec(family=fam, strike=kw["strike"], exponent=kw["exponent"])
-    if fam == "capped-power":
-        kw = _take(cfg, "payoff", ("family", "strike", "exponent", "cap_width"), {})
-        return PayoffSpec(
-            family=fam,
-            strike=kw["strike"],
-            exponent=kw["exponent"],
-            cap_width=kw["cap_width"],
-        )
-    if fam == "linear":
-        kw = _take(cfg, "payoff", ("family",), {"slope": 1.0, "intercept": 0.0})
-        return PayoffSpec(family=fam, slope=kw["slope"], intercept=kw["intercept"])
-    if fam == "constant":
-        kw = _take(cfg, "payoff", ("family", "level"), {})
-        return PayoffSpec(family=fam, level=kw["level"])
-    if fam == "user-table":
-        kw = _take(cfg, "payoff", ("family", "table_x", "table_y"), {})
-        return PayoffSpec(
-            family=fam, table_x=tuple(kw["table_x"]), table_y=tuple(kw["table_y"])
-        )
-    raise ValidationError(f"payoff: unknown family '{fam}'")
+    fam, kw = _take_family(cfg, "payoff", _PAYOFFS, lambda row: row.keys)
+    # tables arrive as YAML lists; the frozen spec holds tuples
+    return PayoffSpec(fam, **{k: tuple(v) if isinstance(v, list) else v for k, v in kw.items()})

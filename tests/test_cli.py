@@ -229,6 +229,20 @@ class TestPriceDeltaCommands:
         assert abs(mc - asym) < 4.0 * se, f"mc {mc:.4f} vs quote {asym:.4f} (se {se:.4f})"
         assert diff == mc - asym
 
+    def test_misspelled_style_is_rejected_not_priced_as_european(self, tmp_path, capsys):
+        rc = cli.main(["price", f"--output.dir={tmp_path}",
+                       "--experiment.style=asain", "--experiment.method=asym"])
+        assert rc == 1
+        assert "asain" in capsys.readouterr().err
+
+    def test_zero_vol_quote_is_the_intrinsic_value(self, tmp_path):
+        out = tmp_path / "out"
+        rc = cli.main(["price", f"--output.dir={out}", "--model.surface.sigma=0",
+                       "--payoff.strike=90", "--experiment.method=asym"])
+        assert rc == 0
+        _, rows = read_csv(out / "price.csv")
+        assert float(rows[0][3]) == 10.0
+
     def test_geometric_style_has_no_asymptotic_quote(self, tmp_path, capsys):
         rc = cli.main(["price", f"--output.dir={tmp_path}",
                        "--experiment.style=geometric"])

@@ -59,6 +59,38 @@ class TestProblemValidation:
         with pytest.raises(DomainError, match="sigma"):
             rate_function(RateFunctionProblem(sigma=lambda lvl: -0.1, x=110.0, y=100.0))
 
+    def test_package_error_on_arrays_is_not_retried_per_element(self):
+        calls = []
+
+        def sigma(levels):
+            calls.append(levels)
+            raise DomainError("sigma undefined here")
+
+        with pytest.raises(DomainError, match="undefined"):
+            rate_function(RateFunctionProblem(sigma=sigma, x=110.0, y=100.0))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "scalar, vectorized, expected",
+        [
+            (lambda lvl: 0.3, lambda lvl: np.full_like(lvl, 0.3), 0.18902316060478902),
+            (
+                lambda lvl: 0.2 if lvl < 100.0 else 0.3,  # raises ValueError on arrays
+                lambda lvl: np.where(lvl < 100.0, 0.2, 0.3),
+                0.42277006372929715,
+            ),
+        ],
+        ids=["constant", "piecewise"],
+    )
+    def test_scalar_only_sigma_solves_like_its_vectorized_twin(
+        self, scalar, vectorized, expected
+    ):
+        value = rate_function(RateFunctionProblem(sigma=scalar, x=90.0, y=100.0)).value
+        assert value == rate_function(
+            RateFunctionProblem(sigma=vectorized, x=90.0, y=100.0)
+        ).value
+        assert value == pytest.approx(expected, rel=1e-12)
+
 
 # ---------------------------------------------------------------------------
 # direct solver

@@ -439,3 +439,63 @@ class TestConfigFactories:
     def test_payoff_missing_key(self):
         with pytest.raises(ValidationError, match="strike"):
             payoff_from_config({"family": "call"})
+
+    def test_optional_keys_take_their_defaults(self):
+        assert payoff_from_config({"family": "linear"}) == PayoffSpec(
+            "linear", slope=1.0, intercept=0.0
+        )
+        assert surface_from_config({"family": "time-scaled", "c0": 0.2}).to_config() == {
+            "family": "time-scaled", "c0": 0.2, "c1": 0.0, "c2": 0.0,
+        }
+
+
+# the hand-written to_config output of one instance per family, pinned key
+# order and value types included: the configs derived from the family
+# tables must reproduce it exactly
+GOLDEN_CONFIGS = [
+    (PayoffSpec("call", strike=100.0), {"family": "call", "strike": 100.0}),
+    (PayoffSpec("put", strike=95.0), {"family": "put", "strike": 95.0}),
+    (
+        PayoffSpec("power-call", strike=100.0, exponent=0.5),
+        {"family": "power-call", "strike": 100.0, "exponent": 0.5},
+    ),
+    (
+        PayoffSpec("capped-power", strike=100.0, exponent=0.3, cap_width=5.0),
+        {"family": "capped-power", "strike": 100.0, "exponent": 0.3, "cap_width": 5.0},
+    ),
+    (
+        PayoffSpec("linear", slope=2.0, intercept=-1.0),
+        {"family": "linear", "slope": 2.0, "intercept": -1.0},
+    ),
+    (PayoffSpec("constant", level=3.0), {"family": "constant", "level": 3.0}),
+    (
+        PayoffSpec("user-table", table_x=(50.0, 100.0, 150.0), table_y=(0.0, 0.0, 50.0)),
+        {"family": "user-table", "table_x": [50.0, 100.0, 150.0], "table_y": [0.0, 0.0, 50.0]},
+    ),
+    (ConstantVol(0.2), {"family": "constant", "sigma": 0.2}),
+    (
+        TimeScaledVol(0.2, 0.1, 0.05),
+        {"family": "time-scaled", "c0": 0.2, "c1": 0.1, "c2": 0.05},
+    ),
+    (
+        CappedPowerVol(0.25, 100.0, 0.5, 0.1, 0.6),
+        {"family": "capped-power", "sref": 0.25, "xref": 100.0, "exponent": 0.5,
+         "floor": 0.1, "cap": 0.6},
+    ),
+    (
+        TabulatedVol([0.0, 1.0], [50.0, 150.0], [[0.2, 0.3], [0.4, 0.5]]),
+        {"family": "tabulated-grid", "ts": [0.0, 1.0], "xs": [50.0, 150.0],
+         "values": [[0.2, 0.3], [0.4, 0.5]]},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "obj, golden",
+    GOLDEN_CONFIGS,
+    ids=[f"{type(obj).__name__}-{obj.family}" for obj, _ in GOLDEN_CONFIGS],
+)
+def test_golden_to_config(obj, golden):
+    cfg = obj.to_config()
+    assert cfg == golden
+    assert repr(cfg) == repr(golden)  # key order and plain Python types too

@@ -1,9 +1,23 @@
-"""Property tests (hypothesis) for invariants of the Monte Carlo engine."""
+"""Property tests (hypothesis) for invariants of the engine, the quotes and
+the config round trips."""
 
 import numpy as np
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from asianvol._rng import BLOCK
+from asianvol.asymptotics import asym_delta, asym_price
+from asianvol.model import (
+    _PAYOFFS,
+    _SURFACES,
+    CappedPowerVol,
+    ConstantVol,
+    PayoffSpec,
+    TabulatedVol,
+    TimeScaledVol,
+    payoff_from_config,
+    surface_from_config,
+)
 from asianvol.montecarlo import SimConfig, _reduce
 
 
@@ -37,3 +51,111 @@ def test_reduce_is_thread_invariant_and_exact_without_spread(
     cov = runs[0][2]
     assert (cov[-1] == 0.0).all() and (cov[:, -1] == 0.0).all()
     assert (np.diag(cov) >= 0.0).all()
+
+
+# ---------------------------------------------------------------------------
+# config round trips, one strategy per family
+# ---------------------------------------------------------------------------
+
+finite = st.floats(-1e6, 1e6)
+positive = st.floats(1e-3, 1e4)
+
+
+def increasing(lo, hi, min_size=2, max_size=5):
+    return st.lists(st.floats(lo, hi), min_size=min_size, max_size=max_size,
+                    unique=True).map(sorted)
+
+
+PAYOFF_STRATEGIES = {
+    "call": st.builds(lambda k: PayoffSpec("call", strike=k), positive),
+    "put": st.builds(lambda k: PayoffSpec("put", strike=k), positive),
+    "power-call": st.builds(
+        lambda k, e: PayoffSpec("power-call", strike=k, exponent=e),
+        positive, st.floats(1e-3, 1.0),
+    ),
+    "capped-power": st.builds(
+        lambda k, e, d: PayoffSpec("capped-power", strike=k, exponent=e, cap_width=d),
+        positive, st.floats(0.0, 0.999), positive,
+    ),
+    "linear": st.builds(lambda a, b: PayoffSpec("linear", slope=a, intercept=b), finite, finite),
+    "constant": st.builds(lambda v: PayoffSpec("constant", level=v), finite),
+    "user-table": increasing(0.0, 1e3).flatmap(
+        lambda xs: st.lists(finite, min_size=len(xs), max_size=len(xs)).map(
+            lambda ys: PayoffSpec("user-table", table_x=tuple(xs), table_y=tuple(ys))
+        )
+    ),
+}
+
+
+def _tabulated(ts, xs, data):
+    values = data.draw(st.lists(st.lists(st.floats(1e-3, 5.0), min_size=len(xs),
+                                         max_size=len(xs)),
+                                min_size=len(ts), max_size=len(ts)))
+    return TabulatedVol(ts, xs, values)
+
+
+SURFACE_STRATEGIES = {
+    "constant": st.builds(ConstantVol, st.floats(0.0, 5.0)),
+    "time-scaled": st.builds(TimeScaledVol, finite, finite, finite),
+    "capped-power": st.builds(
+        lambda sref, xref, b, lo_hi: CappedPowerVol(sref, xref, b, *lo_hi),
+        positive, positive, st.floats(-3.0, 3.0),
+        st.lists(st.floats(0.0, 5.0), min_size=2, max_size=2).map(sorted),
+    ),
+    "tabulated-grid": st.builds(
+        _tabulated, increasing(0.0, 10.0), increasing(1e-3, 1e3), st.data()
+    ),
+}
+
+
+def test_strategies_cover_every_family():
+    assert set(PAYOFF_STRATEGIES) == set(_PAYOFFS)
+    assert set(SURFACE_STRATEGIES) == set(_SURFACES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(PAYOFF_STRATEGIES)).flatmap(PAYOFF_STRATEGIES.get))
+def test_payoff_config_round_trip(payoff):
+    cfg = payoff.to_config()
+    assert yaml.safe_load(yaml.safe_dump(cfg)) == cfg  # plain YAML types only
+    back = payoff_from_config(cfg)
+    assert back == payoff
+    assert repr(back.to_config()) == repr(cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SURFACE_STRATEGIES)).flatmap(SURFACE_STRATEGIES.get))
+def test_surface_config_round_trip(surface):
+    cfg = surface.to_config()
+    assert yaml.safe_load(yaml.safe_dump(cfg)) == cfg  # plain YAML types only
+    back = surface_from_config(cfg)
+    assert type(back) is type(surface)
+    assert repr(back.to_config()) == repr(cfg)
+
+
+# ---------------------------------------------------------------------------
+# put-call parity of the asymptotic quotes
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(
+    S0=st.floats(50.0, 200.0),
+    moneyness=st.floats(0.7, 1.3),
+    vol=st.floats(0.05, 1.0),
+    T=st.floats(1e-3, 2.0),
+    force_quadrature=st.booleans(),
+)
+def test_put_call_parity_of_quotes(S0, moneyness, vol, T, force_quadrature):
+    """E[(X-K)+] - E[(K-X)+] = E[X] - K = S0 - K for X = S0 + s Z, and the
+    deltas differ by d(S0 - K)/dS0 = 1, closed form and quadrature alike."""
+    K = S0 * moneyness
+    call, put = PayoffSpec("call", strike=K), PayoffSpec("put", strike=K)
+    quotes = {}
+    for fn in (asym_price, asym_delta):
+        c = fn(call, S0, vol, T, force_quadrature=force_quadrature)
+        p = fn(put, S0, vol, T, force_quadrature=force_quadrature)
+        assert (c.quadrature.method == "closed-form") is not force_quadrature
+        quotes[fn] = c.value - p.value
+    tol = 1e-7 if force_quadrature else 1e-12
+    assert abs(quotes[asym_price] - (S0 - K)) <= tol * S0
+    assert abs(quotes[asym_delta] - 1.0) <= tol
