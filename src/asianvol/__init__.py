@@ -53,22 +53,17 @@ from .ldp import (
     rate_function_shooting,
 )
 from .model import (
-    AssumptionReport,
     CappedPowerVol,
     ConstantVol,
     LocalVolSurface,
     MarketParams,
     PayoffSpec,
-    ProbeGrid,
     TabulatedVol,
     TimeScaledVol,
-    VolPoint,
-    check_assumptions,
     market_from_config,
     payoff_from_config,
     surface_from_config,
     tabulated_from_csv,
-    vol_at,
 )
 from .montecarlo import (
     McEstimate,
@@ -88,22 +83,17 @@ __all__ = [
     "DomainError",
     "NumericError",
     "ValidationError",
-    "AssumptionReport",
     "CappedPowerVol",
     "ConstantVol",
     "LocalVolSurface",
     "MarketParams",
     "PayoffSpec",
-    "ProbeGrid",
     "TabulatedVol",
     "TimeScaledVol",
-    "VolPoint",
-    "check_assumptions",
     "market_from_config",
     "payoff_from_config",
     "surface_from_config",
     "tabulated_from_csv",
-    "vol_at",
     "VolQuote",
     "QuadratureInfo",
     "AsymptoticQuote",

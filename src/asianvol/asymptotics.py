@@ -258,9 +258,9 @@ def gaussian_expectation(
 class AsymptoticQuote:
     """A leading-order price or delta with its claimed error order in T.
 
-    ``claimed_error_order`` is the Holder exponent gamma of the payoff for
-    prices and gamma - 1/2 for deltas: the neglected correction is
-    O(T^claimed_error_order) relative to leading order.
+    ``claimed_error_order`` bounds the absolute error |exact - quote|: it is
+    O(T^gamma) for prices and O(T^(gamma - 1/2)) for deltas, with gamma the
+    payoff's Holder exponent.
     """
 
     value: float

@@ -15,11 +15,12 @@ Configuration is YAML with blocks ``model`` (surface + market), ``payoff``,
 ``mc``, ``output`` and a per-command ``experiment`` block.  Every value has
 a default; a ``--config FILE`` overrides defaults, and ``--key.path=value``
 flags override the file (values are parsed as YAML, so lists work).
-Unknown keys are rejected by their full dotted name.  The ``model.surface``
-and ``payoff`` blocks are taken whole when present, because their keys
-depend on the chosen family; every other block merges key by key.  For the
-same reason a ``--...family=`` override starts its block afresh -- give the
-new family's keys after it.
+Unknown keys are rejected by their full dotted name, and a number, flag or
+list of the wrong type by its key.  The ``model.surface`` and ``payoff``
+blocks are taken whole when present, because their keys depend on the
+chosen family; every other block merges key by key.  For the same reason a
+``--...family=`` override starts its block afresh -- give the new family's
+keys after it.
 
 Every run writes ``resolved.yaml`` (the fully resolved configuration) into
 the output directory and repeats it as a ``#``-comment header inside each
@@ -69,6 +70,7 @@ from .model import (
     ConstantVol,
     MarketParams,
     PayoffSpec,
+    _is_real,
     market_from_config,
     payoff_from_config,
     surface_from_config,
@@ -222,7 +224,30 @@ def _resolve(command: str, config_path, overrides) -> dict:
         _apply_file(cfg, file_cfg)
     for dotted, text in overrides:
         _apply_override(cfg, dotted, text)
+    defaults = {"mc": _BASE_DEFAULTS["mc"], "experiment": _EXPERIMENT_DEFAULTS[command]}
+    for block, block_defaults in defaults.items():
+        for key, value in cfg[block].items():
+            _check_type(f"{block}.{key}", value, block_defaults[key])
     return cfg
+
+
+_KIND = {bool: "true or false", int: "an integer", float: "a number", list: "a list"}
+
+
+def _check_type(name: str, value, default) -> None:
+    """``value`` must have the type of ``default``, except that a float also
+    takes an int (never a bool).  A list's items are checked against its
+    first item; strings are left to the commands, which name the allowed
+    values."""
+    if isinstance(default, str):
+        return
+    if not (_is_real(value) if isinstance(default, float) else type(value) is type(default)):
+        raise ValidationError(
+            f"config key '{name}' must be {_KIND[type(default)]}, got {value!r}"
+        )
+    if isinstance(default, list):
+        for item in value:
+            _check_type(name, item, default[0])
 
 
 def _plain(obj):

@@ -33,8 +33,8 @@ payoff family's config keys, validation, value, kinks and Holder modulus.
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -44,17 +44,12 @@ from .errors import DomainError, ValidationError
 
 __all__ = [
     "MarketParams",
-    "VolPoint",
     "LocalVolSurface",
     "ConstantVol",
     "TimeScaledVol",
     "CappedPowerVol",
     "TabulatedVol",
     "PayoffSpec",
-    "ProbeGrid",
-    "AssumptionReport",
-    "vol_at",
-    "check_assumptions",
     "market_from_config",
     "surface_from_config",
     "payoff_from_config",
@@ -91,15 +86,6 @@ class MarketParams:
 # ---------------------------------------------------------------------------
 # local volatility surfaces
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VolPoint:
-    """Surface values at one (t, x): sigma and derivatives of a(t,x)=sigma*x."""
-
-    sigma: float
-    dcoef_dx: float
-    dcoef_dxx: float
-
 
 def _broadcast(t, x):
     """Broadcast (t, x) to a common float shape; remember if both were scalars."""
@@ -181,14 +167,6 @@ class LocalVolSurface:
     def is_time_dependent(self) -> bool:
         return False
 
-    @property
-    def is_level_dependent(self) -> bool:
-        return False
-
-    def sigma_bounds(self) -> Optional[tuple]:
-        """Analytic (lo, hi) bounds over the whole domain, if known."""
-        return None
-
     def to_config(self) -> dict:
         """The constructor's arguments, read back from same-named attributes."""
         cfg = {"family": self.family}
@@ -201,8 +179,7 @@ class LocalVolSurface:
 class ConstantVol(LocalVolSurface):
     """Flat Black-Scholes volatility.
 
-    sigma = 0 is admitted for degenerate deterministic dynamics; the
-    assumption probe reports it as failing the positivity condition.
+    sigma = 0 is admitted for degenerate deterministic dynamics.
     """
 
     family = "constant"
@@ -220,9 +197,6 @@ class ConstantVol(LocalVolSurface):
 
     def _dcoef_dxx(self, t, x):
         return np.zeros_like(x)
-
-    def sigma_bounds(self):
-        return (self.level, self.level)
 
     def to_config(self):
         # stored as ``level``: ``sigma`` is the evaluation method
@@ -317,24 +291,6 @@ class CappedPowerVol(LocalVolSurface):
         b = self.exponent
         return np.where(on_power, -b * (1.0 - b) * sig / x, 0.0)
 
-    @property
-    def is_level_dependent(self):
-        return True
-
-    def clip_boundaries(self) -> tuple:
-        """x-locations where the raw power law meets (cap, floor)."""
-        if self.exponent == 0.0:
-            return (np.nan, np.nan)
-        x_cap = self.xref * (self.cap / self.sref) ** (-1.0 / self.exponent)
-        x_floor = self.xref * (self.floor / self.sref) ** (-1.0 / self.exponent) \
-            if self.floor > 0.0 else np.inf
-        return (x_cap, x_floor)
-
-    def sigma_bounds(self):
-        if self.floor > 0.0 and np.isfinite(self.cap):
-            return (self.floor, self.cap)
-        return None
-
 
 class TabulatedVol(LocalVolSurface):
     """Bilinear interpolation of sigma on a rectangular (t, x) grid.
@@ -401,23 +357,6 @@ class TabulatedVol(LocalVolSurface):
     @property
     def is_time_dependent(self):
         return True
-
-    @property
-    def is_level_dependent(self):
-        return True
-
-    def sigma_bounds(self):
-        # bilinear interpolation cannot leave the hull of the node values
-        return (float(self.values.min()), float(self.values.max()))
-
-
-def vol_at(surface: LocalVolSurface, t: float, x: float) -> VolPoint:
-    """Point evaluation of sigma and the diffusion-coefficient derivatives."""
-    return VolPoint(
-        sigma=surface.sigma(t, x),
-        dcoef_dx=surface.dcoef_dx(t, x),
-        dcoef_dxx=surface.dcoef_dxx(t, x),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -604,143 +543,28 @@ class PayoffSpec:
 
 
 # ---------------------------------------------------------------------------
-# assumption checking
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProbeGrid:
-    """Rectangle and resolution on which surface assumptions are probed.
-
-    ``max_sigma`` and ``max_lipschitz`` are the declared margins: a surface
-    whose probed sigma range or difference quotients exceed them fails the
-    corresponding condition even when the values are finite.
-    """
-
-    t_lo: float = 0.0
-    t_hi: float = 1.0
-    x_lo: float = 1.0
-    x_hi: float = 400.0
-    nt: int = 21
-    nx: int = 201
-    min_sigma: float = 1e-8
-    max_sigma: float = 5.0
-    max_lipschitz: float = 100.0
-
-    def __post_init__(self):
-        if not (self.t_hi > self.t_lo >= 0.0):
-            raise ValidationError("probe needs t_hi > t_lo >= 0")
-        if not (self.x_hi > self.x_lo > 0.0):
-            raise ValidationError("probe needs x_hi > x_lo > 0")
-        if self.nt < 2 or self.nx < 3:
-            raise ValidationError("probe needs nt >= 2 and nx >= 3")
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Result of probing a surface for the regularity the expansions assume."""
-
-    sigma_lo: float
-    sigma_hi: float
-    lipschitz_estimates: dict
-    probe_domain: dict
-    conditions: dict
-    passed: bool
-    advisory: Optional[str] = None
-
-
-def check_assumptions(
-    surface: LocalVolSurface, probe: Optional[ProbeGrid] = None
-) -> AssumptionReport:
-    """Probe sigma's bounds and smoothness on a grid.
-
-    Estimates the sigma range and the worst x-difference quotients of
-    sigma, of the diffusion coefficient a = sigma*x, and of its first and
-    second derivatives.  ``passed`` is True only if sigma stays within
-    [min_sigma, max_sigma] on the probe grid and every quotient is finite
-    and below ``max_lipschitz``.
-    """
-    probe = probe or ProbeGrid()
-    ts = np.linspace(probe.t_lo, probe.t_hi, probe.nt)
-    xs = np.linspace(probe.x_lo, probe.x_hi, probe.nx)
-
-    sig_lo, sig_hi = np.inf, -np.inf
-    quotients = {"sigma": 0.0, "coef": 0.0, "dcoef_dx": 0.0, "dcoef_dxx": 0.0}
-    ok = True
-    for t in ts:
-        sig = np.asarray(surface.sigma(t, xs))
-        if not np.all(np.isfinite(sig)):
-            ok = False
-            continue
-        sig_lo = min(sig_lo, float(sig.min()))
-        sig_hi = max(sig_hi, float(sig.max()))
-        rows = {
-            "sigma": sig,
-            "coef": sig * xs,
-            "dcoef_dx": np.asarray(surface.dcoef_dx(t, xs)),
-            "dcoef_dxx": np.asarray(surface.dcoef_dxx(t, xs)),
-        }
-        dx = np.diff(xs)
-        for key, row in rows.items():
-            if not np.all(np.isfinite(row)):
-                ok = False
-                quotients[key] = np.inf
-                continue
-            quotients[key] = max(quotients[key], float(np.max(np.abs(np.diff(row)) / dx)))
-
-    conditions = {
-        "sigma_positive": bool(ok and sig_lo >= probe.min_sigma),
-        "sigma_bounded": bool(ok and sig_hi <= probe.max_sigma),
-        "all_finite": bool(ok and np.isfinite(sig_lo) and np.isfinite(sig_hi)),
-        "lipschitz_bounded": bool(
-            ok and all(np.isfinite(v) and v <= probe.max_lipschitz for v in quotients.values())
-        ),
-    }
-    passed = all(conditions.values())
-
-    advisory = None
-    if isinstance(surface, CappedPowerVol):
-        x_cap, x_floor = surface.clip_boundaries()
-        hits = [
-            b
-            for b in (x_cap, x_floor)
-            if np.isfinite(b) and probe.x_lo <= b <= probe.x_hi
-        ]
-        if hits:
-            advisory = (
-                "sigma reaches its floor/cap inside the probe domain at x = "
-                + ", ".join(f"{b:.6g}" for b in hits)
-                + "; derivatives are one-sided there"
-            )
-    if not passed:
-        failing = sorted(k for k, v in conditions.items() if not v)
-        note = "failed: " + ", ".join(failing)
-        advisory = note if advisory is None else advisory + "; " + note
-
-    return AssumptionReport(
-        sigma_lo=float(sig_lo),
-        sigma_hi=float(sig_hi),
-        lipschitz_estimates=quotients,
-        probe_domain=dataclasses.asdict(probe),
-        conditions=conditions,
-        passed=passed,
-        advisory=advisory,
-    )
-
-
-# ---------------------------------------------------------------------------
 # config factories (used by the CLI, handy in tests)
 # ---------------------------------------------------------------------------
 
-def _take(cfg: dict, what: str, keys: dict) -> dict:
+def _is_real(value) -> bool:
+    """An int or float config value; Python counts a bool as an int, a config does not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def _take(cfg: dict, what: str, keys: dict, types: dict) -> dict:
     """Pull exactly the allowed keys out of a config mapping.
 
-    ``keys`` maps each allowed key to its default, or to ``_REQUIRED``.
+    ``keys`` maps each allowed key to its default, or to ``_REQUIRED``;
+    ``types`` maps keys to their annotations, and a key annotated ``float``
+    takes only a real number.
     """
     cfg = dict(cfg)
     out = {}
     for key, default in keys.items():
         if key in cfg:
             out[key] = cfg.pop(key)
+            if types.get(key) == "float" and not _is_real(out[key]):
+                raise ValidationError(f"{what}: key '{key}' must be a number, got {out[key]!r}")
         elif default is _REQUIRED:
             raise ValidationError(f"{what}: missing required key '{key}'")
         else:
@@ -750,20 +574,21 @@ def _take(cfg: dict, what: str, keys: dict) -> dict:
     return out
 
 
-def _take_family(cfg: dict, what: str, table: dict, keys_of) -> tuple:
-    """(family, parameters) of a family block; ``keys_of(row)`` gives its keys."""
+def _take_family(cfg: dict, what: str, table: dict, keys_of, types_of) -> tuple:
+    """(family, parameters) of a family block; ``keys_of(row)`` and
+    ``types_of(row)`` give its keys and their annotations."""
     if "family" not in cfg:
         raise ValidationError(f"{what}: missing required key 'family'")
     fam = cfg["family"]
     if not (isinstance(fam, str) and fam in table):
         raise ValidationError(f"{what}: unknown family '{fam}'")
-    kw = _take(cfg, what, {"family": _REQUIRED, **keys_of(table[fam])})
+    kw = _take(cfg, what, {"family": _REQUIRED, **keys_of(table[fam])}, types_of(table[fam]))
     del kw["family"]
     return fam, kw
 
 
 def market_from_config(cfg: dict) -> MarketParams:
-    kw = _take(cfg, "market", {"S0": _REQUIRED, "r": 0.0, "q": 0.0})
+    kw = _take(cfg, "market", {"S0": _REQUIRED, "r": 0.0, "q": 0.0}, MarketParams.__annotations__)
     return MarketParams(**kw)
 
 
@@ -803,11 +628,14 @@ def surface_from_config(cfg: dict) -> LocalVolSurface:
     fam, kw = _take_family(
         cfg, "surface", _SURFACES,
         lambda cls: {p.name: p.default for p in inspect.signature(cls).parameters.values()},
+        lambda cls: cls.__init__.__annotations__,
     )
     return _SURFACES[fam](**kw)
 
 
 def payoff_from_config(cfg: dict) -> PayoffSpec:
-    fam, kw = _take_family(cfg, "payoff", _PAYOFFS, lambda row: row.keys)
+    fam, kw = _take_family(
+        cfg, "payoff", _PAYOFFS, lambda row: row.keys, lambda row: PayoffSpec.__annotations__
+    )
     # tables arrive as YAML lists; the frozen spec holds tuples
     return PayoffSpec(fam, **{k: tuple(v) if isinstance(v, list) else v for k, v in kw.items()})

@@ -68,6 +68,30 @@ class TestConfigResolution:
         err = capsys.readouterr().err
         assert named in err, f"expected {named} in: {err}"
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["price", "--experiment.method=asym", "--payoff.strike=abc"], "'strike'"),
+            (["price", "--experiment.method=asym", "--model.surface.sigma=abc"], "'sigma'"),
+            (["price", "--experiment.method=asym", "--model.market.S0=abc"], "'S0'"),
+            (["price", "--experiment.method=asym", "--payoff.strike=[1,2]"], "'strike'"),
+            (["price", "--experiment.method=asym", "--payoff.strike=true"], "'strike'"),
+            (["price", "--experiment.method=asym", "--experiment.T=abc"], "'experiment.T'"),
+            (["vols", "--experiment.n_t=abc"], "'experiment.n_t'"),
+            (["vols", "--experiment.n_t=5.0"], "'experiment.n_t'"),
+            (["delta", "--experiment.method=malliavin", "--mc.malliavin_budget=1e9"],
+             "'mc.malliavin_budget'"),
+            (["compare", "--experiment.t_grid=[0.1, abc]"], "'experiment.t_grid'"),
+            (["ldp", "--experiment.oracle=abc"], "'experiment.oracle'"),
+        ],
+    )
+    def test_values_of_the_wrong_type_are_named(self, tmp_path, capsys, argv, named):
+        rc = cli.main([*argv, f"--output.dir={tmp_path / 'out'}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert named in err, f"expected {named} in: {err}"
+
     def test_unknown_override_key_is_named(self, tmp_path, capsys):
         rc = cli.main(["vols", f"--output.dir={tmp_path / 'out'}", "--mc.paths=5"])
         assert rc == 1

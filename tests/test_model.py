@@ -1,4 +1,4 @@
-"""Tests for market params, vol surfaces, payoffs, and assumption probing."""
+"""Tests for market params, vol surfaces, payoffs, and config factories."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,12 @@ from asianvol.model import (
     ConstantVol,
     MarketParams,
     PayoffSpec,
-    ProbeGrid,
     TabulatedVol,
     TimeScaledVol,
-    check_assumptions,
     market_from_config,
     payoff_from_config,
     surface_from_config,
     tabulated_from_csv,
-    vol_at,
 )
 
 # ---------------------------------------------------------------------------
@@ -60,24 +57,18 @@ class TestCappedPowerVol:
     @pytest.mark.parametrize("x", sorted(SKEW_POINTS))
     def test_point_values(self, x):
         sig, d1, d2 = SKEW_POINTS[x]
-        p = vol_at(SKEW, 0.3, x)
-        assert np.isclose(p.sigma, sig, rtol=1e-13), f"sigma at {x}: {p.sigma}"
-        assert np.isclose(p.dcoef_dx, d1, rtol=1e-13), f"dcoef_dx at {x}: {p.dcoef_dx}"
-        assert np.isclose(p.dcoef_dxx, d2, rtol=1e-13), f"dcoef_dxx at {x}: {p.dcoef_dxx}"
+        got = SKEW.sigma(0.3, x), SKEW.dcoef_dx(0.3, x), SKEW.dcoef_dxx(0.3, x)
+        assert np.isclose(got[0], sig, rtol=1e-13), f"sigma at {x}: {got[0]}"
+        assert np.isclose(got[1], d1, rtol=1e-13), f"dcoef_dx at {x}: {got[1]}"
+        assert np.isclose(got[2], d2, rtol=1e-13), f"dcoef_dxx at {x}: {got[2]}"
 
     def test_clipped_regions_are_flat(self):
         # below the cap boundary (~0.468) sigma pegs at 1.0, above the floor
         # boundary (~10159) it pegs at 0.05; a flat sigma means a(x) = sigma*x
         for x, level in ((0.1, 1.0), (20000.0, 0.05)):
-            p = vol_at(SKEW, 0.0, x)
-            assert p.sigma == level
-            assert p.dcoef_dx == level
-            assert p.dcoef_dxx == 0.0
-
-    def test_clip_boundaries(self):
-        x_cap, x_floor = SKEW.clip_boundaries()
-        assert np.isclose(x_cap, 0.46784283811405847)
-        assert np.isclose(x_floor, 10159.366732596478)
+            assert SKEW.sigma(0.0, x) == level
+            assert SKEW.dcoef_dx(0.0, x) == level
+            assert SKEW.dcoef_dxx(0.0, x) == 0.0
 
     def test_derivatives_match_central_differences(self):
         # analytic branch formulas vs a finite-difference probe of sigma*x
@@ -113,8 +104,7 @@ class TestOtherSurfaces:
         assert s.sigma(1.3, 77.0) == 0.2
         assert s.dcoef_dx(0.0, 50.0) == 0.2
         assert s.dcoef_dxx(0.0, 50.0) == 0.0
-        assert s.sigma_bounds() == (0.2, 0.2)
-        assert not s.is_time_dependent and not s.is_level_dependent
+        assert not s.is_time_dependent
 
     def test_time_scaled_sqrt_ramp(self):
         # sigma(t) = 0.2 + 0.05*sqrt(t)
@@ -122,7 +112,7 @@ class TestOtherSurfaces:
         assert np.isclose(s.sigma(0.25, 123.0), 0.225, rtol=1e-15)
         assert np.isclose(s.dcoef_dx(0.25, 9.0), 0.225, rtol=1e-15)
         assert s.dcoef_dxx(0.25, 9.0) == 0.0
-        assert s.is_time_dependent and not s.is_level_dependent
+        assert s.is_time_dependent
 
     def test_time_scaled_linear_ramp(self):
         s = TimeScaledVol(c0=0.2, c1=0.05)
@@ -302,75 +292,6 @@ class TestPayoffs:
         rhs = spec.holder_beta * np.abs(x - y) ** spec.holder_gamma
         bad = lhs > rhs * (1 + 1e-12)
         assert not bad.any(), f"modulus violated at {x[bad][:3]}, {y[bad][:3]}"
-
-
-# ---------------------------------------------------------------------------
-# assumption probing
-# ---------------------------------------------------------------------------
-
-class TestCheckAssumptions:
-    def test_constant_passes(self):
-        rep = check_assumptions(ConstantVol(0.2))
-        assert rep.passed
-        assert rep.sigma_lo == rep.sigma_hi == 0.2
-        assert all(rep.conditions.values())
-        assert rep.lipschitz_estimates["sigma"] == 0.0
-
-    def test_capped_power_passes_on_moderate_domain(self):
-        rep = check_assumptions(SKEW, ProbeGrid(x_lo=1.0, x_hi=400.0))
-        assert rep.passed, rep.conditions
-        assert rep.sigma_lo > 0.13 and rep.sigma_hi < 0.8
-        assert rep.advisory is None
-
-    def test_uncapped_power_fails_near_zero(self):
-        # without a cap, sigma(x) = 0.2*(x/100)^{-0.3} blows up as x -> 0 and
-        # exceeds the declared bound inside a probe domain that reaches 1e-3
-        uncapped = CappedPowerVol(sref=0.2, xref=100.0, exponent=0.3, floor=0.0, cap=np.inf)
-        rep = check_assumptions(uncapped, ProbeGrid(x_lo=1e-3, x_hi=200.0))
-        assert not rep.passed
-        assert not rep.conditions["sigma_bounded"]
-        assert rep.advisory is not None and "sigma_bounded" in rep.advisory
-
-    def test_advisory_mentions_clip_boundary_when_probed(self):
-        rep = check_assumptions(SKEW, ProbeGrid(x_lo=0.1, x_hi=10.0, max_sigma=2.0))
-        assert rep.advisory is not None and "one-sided" in rep.advisory
-
-    def test_report_echoes_probe_domain(self):
-        probe = ProbeGrid(t_hi=0.5, x_lo=10.0, x_hi=250.0)
-        rep = check_assumptions(ConstantVol(0.3), probe)
-        assert rep.probe_domain["x_lo"] == 10.0
-        assert rep.probe_domain["t_hi"] == 0.5
-
-    def test_probe_validation(self):
-        with pytest.raises(ValidationError):
-            ProbeGrid(x_lo=-1.0)
-        with pytest.raises(ValidationError):
-            ProbeGrid(t_lo=0.5, t_hi=0.5)
-
-    @pytest.mark.parametrize(
-        "surface",
-        [
-            ConstantVol(0.2),
-            TimeScaledVol(c0=0.2, c1=0.1, c2=0.05),
-            SKEW,
-            TabulatedVol(
-                ts=[0.0, 1.0],
-                xs=[10.0, 100.0, 400.0],
-                values=[[0.2, 0.25, 0.3], [0.3, 0.35, 0.4]],
-            ),
-        ],
-    )
-    def test_reported_bounds_hold_at_finer_resolution(self, surface):
-        """Sigma values on a 10x finer grid stay inside the reported range."""
-        probe = ProbeGrid(x_lo=10.0, x_hi=400.0, nt=11, nx=41)
-        rep = check_assumptions(surface, probe)
-        ts = np.linspace(probe.t_lo, probe.t_hi, 10 * probe.nt)
-        xs = np.linspace(probe.x_lo, probe.x_hi, 10 * probe.nx)
-        pad = 1e-12
-        for t in ts:
-            sig = np.asarray(surface.sigma(t, xs))
-            assert sig.min() >= rep.sigma_lo - pad, f"{surface.family} below range"
-            assert sig.max() <= rep.sigma_hi + pad, f"{surface.family} above range"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from asianvol.model import (
     TimeScaledVol,
 )
 from asianvol.montecarlo import (
+    PROCESS_NAMES,
     McEstimate,
     SimConfig,
     _control,
@@ -173,6 +175,22 @@ class TestProcesses:
         t = b.t
         expect = np.trapezoid(100.0 * np.exp(0.08 * t), t) / 2.0
         assert np.allclose(b.averages["S"], expect, rtol=1e-14)
+
+    def test_bit_identical_across_threads(self):
+        # all 8 processes over a ragged third block
+        cfg = SimConfig(steps=4, n_paths=2 * BLOCK + 123, seed=13)
+        runs = [simulate(SKEW, DRIFTY, 0.3, replace(cfg, threads=t)) for t in (1, 2, 4)]
+        base = runs[0]
+        assert set(base.processes) == set(PROCESS_NAMES)
+        for b in runs[1:]:
+            for name in PROCESS_NAMES:
+                assert b.processes[name].tobytes() == base.processes[name].tobytes(), name
+            assert set(b.averages) == set(base.averages)
+            for name in base.averages:
+                assert b.averages[name].tobytes() == base.averages[name].tobytes(), name
+            assert b.increments.tobytes() == base.increments.tobytes()
+            assert b.exploded.tobytes() == base.exploded.tobytes()
+            assert b.n_exploded == base.n_exploded
 
     def test_history_size_guard(self):
         cfg = SimConfig(steps=10000, n_paths=10000, seed=0)
@@ -472,6 +490,15 @@ class TestFdDelta:
         assert abs(est.mean - bs) < max(4 * est.std_error, 2e-3), (
             f"fd {est.mean:.4f} vs bs {bs:.4f}"
         )
+
+    @pytest.mark.parametrize("style", ["asian", "european"])
+    def test_bit_identical_across_threads(self, style):
+        cfg = SimConfig(steps=4, n_paths=2 * BLOCK + 123, seed=17)
+        runs = [
+            mc_delta_fd(SKEW, DRIFTY, CALL, style, 0.3, replace(cfg, threads=t))
+            for t in (1, 2, 4)
+        ]
+        assert all(repr(est) == repr(runs[0]) for est in runs[1:]), runs
 
     @pytest.mark.parametrize("bump", [1e-6, 0.2, 0.0, -1e-3])
     def test_bump_out_of_range_rejected(self, bump):
