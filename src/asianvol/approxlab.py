@@ -109,10 +109,10 @@ def lp_distance_curve(
     for i, ti in enumerate(t):
 
         def block_fn(lo, hi, ti=ti):
-            blk = _sim_block(surface, params, ti, cfg, lo, hi, include=pair)
-            valid = ~blk["exploded"]
-            a, b = (blk["terminal"][name][valid] for name in pair)
-            return [np.abs(a - b) ** p], int((~valid).sum()), 0
+            paths, _, exploded = _sim_block(surface, params, ti, cfg, lo, hi, pair)
+            valid = ~exploded
+            a, b = (paths[name][:, -1][valid] for name in pair)
+            return [np.abs(a - b) ** p], int(exploded.sum()), 0
 
         n, mean, cov, _, _ = _reduce(block_fn, cfg)
         moments[i], std_errors[i] = mean[0], math.sqrt(cov[0, 0] / n)

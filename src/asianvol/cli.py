@@ -224,6 +224,9 @@ def _resolve(command: str, config_path, overrides) -> dict:
         _apply_file(cfg, file_cfg)
     for dotted, text in overrides:
         _apply_override(cfg, dotted, text)
+    out = cfg["output"]["dir"]
+    if not isinstance(out, str):
+        raise ValidationError(f"config key 'output.dir' must be a string, got {out!r}")
     defaults = {"mc": _BASE_DEFAULTS["mc"], "experiment": _EXPERIMENT_DEFAULTS[command]}
     for block, block_defaults in defaults.items():
         for key, value in cfg[block].items():

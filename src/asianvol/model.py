@@ -304,9 +304,9 @@ class TabulatedVol(LocalVolSurface):
     family = "tabulated-grid"
 
     def __init__(self, ts: Sequence[float], xs: Sequence[float], values):
-        ts = np.asarray(ts, dtype=float)
-        xs = np.asarray(xs, dtype=float)
-        vals = np.asarray(values, dtype=float)
+        ts = _real_array(self.family, "ts", ts)
+        xs = _real_array(self.family, "xs", xs)
+        vals = _real_array(self.family, "values", values, ndim=2)
         if ts.ndim != 1 or xs.ndim != 1 or len(ts) < 2 or len(xs) < 2:
             raise ValidationError("tabulated grid needs 1-D ts and xs of length >= 2")
         if np.any(np.diff(ts) <= 0.0) or np.any(np.diff(xs) <= 0.0):
@@ -413,8 +413,8 @@ def _check_constant(p) -> None:
 def _check_table(p) -> None:
     if p.table_x is None or p.table_y is None:
         raise ValidationError("user-table payoff needs table_x and table_y")
-    tx = np.asarray(p.table_x, dtype=float)
-    ty = np.asarray(p.table_y, dtype=float)
+    tx = _real_array(p.family, "table_x", p.table_x)
+    ty = _real_array(p.family, "table_y", p.table_y)
     if tx.ndim != 1 or tx.shape != ty.shape or len(tx) < 2:
         raise ValidationError("user-table needs matching 1-D x and y, length >= 2")
     if np.any(np.diff(tx) <= 0.0):
@@ -549,6 +549,21 @@ class PayoffSpec:
 def _is_real(value) -> bool:
     """An int or float config value; Python counts a bool as an int, a config does not."""
     return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def _real_array(family: str, key: str, value, ndim: int = 1) -> np.ndarray:
+    """``value`` as a float array: a list of real numbers (ndim 1) or a list
+    of equal-length such lists (ndim 2).  Anything else, a string or a bool
+    item among them, is a ValidationError naming the key."""
+    def is_list(v):
+        return isinstance(v, (list, tuple, np.ndarray))
+
+    rows = value if ndim == 2 and is_list(value) else [value]
+    if not (all(is_list(r) and all(_is_real(v) for v in r) for r in rows)
+            and len({len(r) for r in rows}) <= 1):
+        shape = "a list" if ndim == 1 else "a list of equal-length lists"
+        raise ValidationError(f"{family}: key '{key}' must be {shape} of numbers, got {value!r}")
+    return np.asarray(value, dtype=float)
 
 
 def _take(cfg: dict, what: str, keys: dict, types: dict) -> dict:

@@ -1,7 +1,7 @@
 """Path simulation and Monte Carlo estimators for the local-vol model.
 
-One Brownian driver, eight processes.  On a uniform grid over [0, T] the
-engine can evolve, per path and all from the same increments:
+One Brownian driver, eight processes.  On a uniform grid t_j = j dt over
+[0, T] the engine evolves, per path and all from the same increments:
 
 * ``S``  - the spot:          dS = (r-q) S dt + sigma(t,S) S dW
 * ``Z``  - its S0-sensitivity: dZ = (r-q) Z dt + dcoef_dx(t,S) Z dW, Z0 = 1
@@ -12,17 +12,26 @@ engine can evolve, per path and all from the same increments:
 * ``Xh`` - frozen Gaussian:    dXh = sigma(t,S0) S0 dW
 * ``Yh`` - frozen Gaussian sensitivity: dYh = dcoef_dx(t,S0) dW
 
-S and X step by Euler or log-Euler (selected in SimConfig); Z and Y always
-by Euler; the frozen processes have deterministic coefficients and step by
-their exact lognormal/Gaussian solutions.
+One stepping kernel, _sim_block, evolves a block of paths.  (S, Z) at
+drift r-q and (X, Y) at drift 0 go through the same level/sensitivity
+loop, with coefficients at the left grid point: the level steps by Euler
+or log-Euler (selected in SimConfig), the sensitivity by Euler, so at zero
+drift the two pairs agree bit for bit.  The frozen processes have
+deterministic coefficients sigma(t_j, S0) and dcoef_dx(t_j, S0) and no
+step loop: Xt and Yt are cumulative products of their exact lognormal
+step factors, Xh and Yh cumulative sums of their Gaussian increments.
+The kernel returns (paths, dW, exploded): one (B, steps+1) history per
+requested process, the (B, steps) increments, and the paths on which a
+process left its domain (non-finite, or a nonpositive level; S, Z, X and
+Y are held at their last valid value there).  Callers take terminal
+values as h[:, -1] and trapezoid averages from _trap_mean.
 
 Randomness is counter-based and addressed by (seed, path, step).  Every
 estimator hands its per-path values to one block reducer, _reduce, which
 works on a fixed block structure: means are compensated sums of the
 blocks' pairwise sums, and covariances merge per-block moments in block
 order, so every estimate is bit-identical for any thread count.  The
-reducer also counts exploded paths (non-finite or nonpositive states,
-frozen at their last valid value) and fails if more than 0.1% of paths
+reducer also counts exploded paths and fails if more than 0.1% of paths
 are excluded.
 
 The Asian price has a controlled estimator, mc_asian_price_cv: its
@@ -77,9 +86,6 @@ __all__ = [
 PROCESS_NAMES = ("S", "X", "Y", "Z", "Xt", "Yt", "Xh", "Yh")
 _STYLES = ("asian", "european", "geometric")
 
-# state dependencies: the sensitivity processes need their primal's state
-_NEEDS = {"Z": "S", "Y": "X"}
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -89,7 +95,6 @@ class SimConfig:
     n_paths: int
     seed: int
     scheme: str = "log-euler"
-    include_flags: tuple = PROCESS_NAMES
     threads: int = 1
     malliavin_budget: float = 1e12
 
@@ -102,9 +107,6 @@ class SimConfig:
             raise ValidationError(f"seed must be a 64-bit integer, got {self.seed}")
         if self.scheme not in ("euler", "log-euler"):
             raise ValidationError(f"scheme must be euler or log-euler, got '{self.scheme}'")
-        unknown = [p for p in self.include_flags if p not in PROCESS_NAMES]
-        if unknown:
-            raise ValidationError(f"unknown process flag '{unknown[0]}'")
         if not (isinstance(self.threads, (int, np.integer)) and self.threads >= 1):
             raise ValidationError(f"threads must be a positive integer, got {self.threads}")
 
@@ -115,7 +117,7 @@ class PathBundle:
 
     t: np.ndarray
     processes: dict
-    averages: dict  # keys among "S", "X", "Y", "logS": (1/T) Int . dt
+    averages: dict  # "S", "X", "Y", "logS": (1/T) Int . dt
     increments: np.ndarray
     exploded: np.ndarray
     n_exploded: int
@@ -137,6 +139,46 @@ class McEstimate:
 # core stepping kernel
 # ---------------------------------------------------------------------------
 
+def _frozen_coeffs(surface: LocalVolSurface, S0: float, T: float, steps: int):
+    """sigma(t_j, S0) and dcoef_dx(t_j, S0) at the left grid points t_j = j T / steps."""
+    t = (T / steps) * np.arange(steps)
+    return surface.sigma(t, S0), surface.dcoef_dx(t, S0)
+
+
+def _level_pair(surface, S0: float, mu: float, dW, dt: float, log_scheme: bool, sens: bool):
+    """Time-major histories of a level L and, if ``sens``, its first variation D.
+
+    dL = mu L dt + sigma(t, L) L dW from L0 = S0, by Euler or log-Euler, and
+    dD = mu D dt + dcoef_dx(t, L) D dW from D0 = 1, by Euler.  A non-finite
+    value (or a nonpositive level) is replaced by the last valid one and
+    its path is returned as bad.
+    """
+    B, steps = dW.shape
+    L = np.empty((steps + 1, B))
+    L[0] = S0
+    D = np.empty((steps + 1, B)) if sens else None
+    if sens:
+        D[0] = 1.0
+    bad = np.zeros(B, dtype=bool)
+    for j in range(steps):
+        tj, x, dWj = j * dt, L[j], dW[:, j]
+        sig = surface.sigma(tj, x)
+        if log_scheme:
+            L[j + 1] = x * np.exp((mu - 0.5 * sig**2) * dt + sig * dWj)
+        else:
+            L[j + 1] = x * (1.0 + mu * dt + sig * dWj)
+        rows = [(L, ~np.isfinite(L[j + 1]) | (L[j + 1] <= 0.0))]
+        if sens:
+            z = D[j]
+            D[j + 1] = z * (1.0 + mu * dt) + surface.dcoef_dx(tj, x) * z * dWj
+            rows.append((D, ~np.isfinite(D[j + 1])))
+        for h, b in rows:
+            if b.any():
+                h[j + 1][b] = h[j][b]
+                bad |= b
+    return L, D, bad
+
+
 def _sim_block(
     surface: LocalVolSurface,
     params: MarketParams,
@@ -145,117 +187,54 @@ def _sim_block(
     lo: int,
     hi: int,
     include: Sequence[str],
-    want_hist: Sequence[str] = (),
-    want_avgs: Sequence[str] = (),
-    want_coeffs: bool = False,
 ):
-    """Evolve one block of paths; returns a dict of requested outputs.
+    """Evolve paths [lo, hi) of the included processes; returns (paths, dW, exploded).
 
-    ``want_coeffs`` additionally records sigma, dcoef_dx, dcoef_dxx along
-    the S path at the left grid points (used by the Malliavin weights).
+    ``paths`` maps each included name to its (B, steps+1) history, the
+    transposed view of time-major storage written one contiguous row per
+    step; ``exploded`` marks the paths on which any evolved process left
+    its domain.  A sensitivity is evolved only when included, its level
+    whenever either of the pair is.
     """
     steps, dt = cfg.steps, T / cfg.steps
-    B = hi - lo
-    S0, mu = params.S0, params.drift
-    log_scheme = cfg.scheme == "log-euler"
+    S0 = params.S0
+    dW = math.sqrt(dt) * normal_block(cfg.seed, steps, lo, hi)
+    exploded = np.zeros(hi - lo, dtype=bool)
+    hist = {}
+    for level, sens, mu in (("S", "Z", params.drift), ("X", "Y", 0.0)):
+        if level in include or sens in include:
+            hist[level], hist[sens], bad = _level_pair(
+                surface, S0, mu, dW, dt, cfg.scheme == "log-euler", sens in include
+            )
+            exploded |= bad
+    if {"Xt", "Yt", "Xh", "Yh"} & set(include):
+        sig0, nu0 = _frozen_coeffs(surface, S0, T, steps)
+        frozen = (("Xt", sig0, S0), ("Yt", nu0, 1.0), ("Xh", sig0, S0), ("Yh", nu0, 1.0))
+        for name, c, x0 in frozen:
+            if name not in include:
+                continue
+            h = np.empty((steps + 1, hi - lo))
+            h[0] = x0
+            if name[1] == "t":  # exact lognormal step factors
+                np.exp((-0.5 * c**2 * dt)[:, None] + c[:, None] * dW.T, out=h[1:])
+                np.multiply.accumulate(h, axis=0, out=h)
+            else:  # Gaussian increments c x0 dW
+                np.multiply((c * x0)[:, None], dW.T, out=h[1:])
+                np.add.accumulate(h, axis=0, out=h)
+            exploded |= ~np.isfinite(h[-1])  # a non-finite value persists
+            hist[name] = h
+    return {name: hist[name].T for name in include}, dW, exploded
 
-    needed = set(include) | {_NEEDS[p] for p in include if p in _NEEDS}
-    zn = normal_block(cfg.seed, steps, lo, hi)
-    dW = math.sqrt(dt) * zn
 
-    state = {}
-    for name in needed:
-        if name in ("S", "X", "Xt", "Xh"):
-            state[name] = np.full(B, S0)
-        else:
-            state[name] = np.ones(B)
-    hist = {name: np.empty((B, steps + 1)) for name in want_hist}
-    for name in want_hist:
-        hist[name][:, 0] = state[name]
-    avgs = {name: np.zeros(B) for name in want_avgs}
-    coeffs = (
-        {k: np.empty((B, steps)) for k in ("sig", "nu", "rho")} if want_coeffs else None
-    )
-    exploded = np.zeros(B, dtype=bool)
-
-    def _avg_snapshot():
-        out = {}
-        for name in want_avgs:
-            out[name] = np.log(state["S"]) if name == "logS" else state[name].copy()
-        return out
-
-    prev = _avg_snapshot()
+def _trap_mean(h: np.ndarray, T: float) -> np.ndarray:
+    """(1/T) Int h dt per path of a (B, steps+1) history, by the trapezoid
+    rule summed panel by panel in time order."""
+    steps = h.shape[1] - 1
+    dt = T / steps
+    acc = np.zeros(h.shape[0])
     for j in range(steps):
-        tj = j * dt
-        dWj = dW[:, j]
-        # coefficients at the current (left) states
-        sig_S = surface.sigma(tj, state["S"]) if "S" in needed else None
-        nu_S = surface.dcoef_dx(tj, state["S"]) if "Z" in needed else None
-        sig_X = surface.sigma(tj, state["X"]) if "X" in needed else None
-        nu_X = surface.dcoef_dx(tj, state["X"]) if "Y" in needed else None
-        if {"Xt", "Yt", "Xh", "Yh"} & needed:
-            sig_0 = float(surface.sigma(tj, S0))
-            nu_0 = float(surface.dcoef_dx(tj, S0))
-        if want_coeffs:
-            coeffs["sig"][:, j] = sig_S
-            coeffs["nu"][:, j] = nu_S if nu_S is not None else surface.dcoef_dx(tj, state["S"])
-            coeffs["rho"][:, j] = surface.dcoef_dxx(tj, state["S"])
-
-        new = {}
-        if "S" in needed:
-            if log_scheme:
-                new["S"] = state["S"] * np.exp((mu - 0.5 * sig_S**2) * dt + sig_S * dWj)
-            else:
-                new["S"] = state["S"] * (1.0 + mu * dt + sig_S * dWj)
-        if "Z" in needed:
-            new["Z"] = state["Z"] * (1.0 + mu * dt) + nu_S * state["Z"] * dWj
-        if "X" in needed:
-            if log_scheme:
-                new["X"] = state["X"] * np.exp(-0.5 * sig_X**2 * dt + sig_X * dWj)
-            else:
-                new["X"] = state["X"] * (1.0 + sig_X * dWj)
-        if "Y" in needed:
-            new["Y"] = state["Y"] + nu_X * state["Y"] * dWj
-        if "Xt" in needed:
-            new["Xt"] = state["Xt"] * np.exp(-0.5 * sig_0**2 * dt + sig_0 * dWj)
-        if "Yt" in needed:
-            new["Yt"] = state["Yt"] * np.exp(-0.5 * nu_0**2 * dt + nu_0 * dWj)
-        if "Xh" in needed:
-            new["Xh"] = state["Xh"] + sig_0 * S0 * dWj
-        if "Yh" in needed:
-            new["Yh"] = state["Yh"] + nu_0 * dWj
-
-        # explosion handling: freeze bad paths at their last valid state
-        bad = np.zeros(B, dtype=bool)
-        for name, arr in new.items():
-            b = ~np.isfinite(arr)
-            if name in ("S", "X"):
-                b |= arr <= 0.0
-            if b.any():
-                arr[b] = state[name][b]
-                bad |= b
-        exploded |= bad
-
-        for name, arr in new.items():
-            state[name] = arr
-            if name in hist:
-                hist[name][:, j + 1] = arr
-
-        cur = _avg_snapshot()
-        for name in want_avgs:
-            avgs[name] += 0.5 * (prev[name] + cur[name]) * dt
-        prev = cur
-
-    for name in want_avgs:
-        avgs[name] /= T
-    return {
-        "terminal": {name: state[name] for name in include},
-        "hist": hist,
-        "avgs": avgs,
-        "dW": dW,
-        "exploded": exploded,
-        "coeffs": coeffs,
-    }
+        acc += 0.5 * (h[:, j] + h[:, j + 1]) * dt
+    return acc / T
 
 
 def _block_ranges(n: int):
@@ -319,44 +298,34 @@ def _reduce(block_fn, cfg: SimConfig):
 # ---------------------------------------------------------------------------
 
 def simulate(surface: LocalVolSurface, params: MarketParams, T: float, cfg: SimConfig) -> PathBundle:
-    """Full-history simulation of the requested processes on one driver.
+    """Full-history simulation of all eight processes on one driver.
 
     Intended for inspection and the coupled-pair studies;
     refuses runs whose histories would not comfortably fit in memory.
     """
     if not T > 0.0:
         raise DomainError(f"T must be positive, got {T}")
-    include = tuple(cfg.include_flags)
-    total = cfg.n_paths * (cfg.steps + 1) * max(len(include), 1)
+    total = cfg.n_paths * (cfg.steps + 1) * len(PROCESS_NAMES)
     if total > 2e8:
         raise ValidationError(
             f"history of {total:.2g} elements is too large; use the estimators, "
             "which stream in blocks"
         )
-    avg_names = [n for n in ("S", "X", "Y") if n in include]
-    if "S" in include:
-        avg_names.append("logS")
-
     blocks = _map_blocks(
-        lambda lo, hi: _sim_block(
-            surface, params, T, cfg, lo, hi, include, want_hist=include, want_avgs=avg_names
-        ),
+        lambda lo, hi: _sim_block(surface, params, T, cfg, lo, hi, PROCESS_NAMES),
         _block_ranges(cfg.n_paths),
         cfg.threads,
     )
-    processes = {
-        name: np.concatenate([b["hist"][name] for b in blocks]) for name in include
-    }
-    averages = {
-        name: np.concatenate([b["avgs"][name] for b in blocks]) for name in avg_names
-    }
-    increments = np.concatenate([b["dW"] for b in blocks])
-    exploded = np.concatenate([b["exploded"] for b in blocks])
+    processes = {name: np.concatenate([b[0][name] for b in blocks])
+                 for name in PROCESS_NAMES}
+    averages = {name: _trap_mean(processes[name], T) for name in ("S", "X", "Y")}
+    averages["logS"] = _trap_mean(np.log(processes["S"]), T)
+    exploded = np.concatenate([b[2] for b in blocks])
     return PathBundle(
         t=np.linspace(0.0, T, cfg.steps + 1),
         processes=processes,
         averages=averages,
-        increments=increments,
+        increments=np.concatenate([b[1] for b in blocks]),
         exploded=exploded,
         n_exploded=int(exploded.sum()),
         config=cfg,
@@ -367,16 +336,13 @@ def simulate(surface: LocalVolSurface, params: MarketParams, T: float, cfg: SimC
 # estimators
 # ---------------------------------------------------------------------------
 
-def _style_values(blk, style: str):
+def _style_values(S: np.ndarray, style: str, T: float):
+    """The payoff argument of an S history: its average, S_T, or its geometric average."""
     if style == "asian":
-        return blk["avgs"]["S"]
+        return _trap_mean(S, T)
     if style == "european":
-        return blk["terminal"]["S"]
-    return np.exp(blk["avgs"]["logS"])  # geometric
-
-
-def _style_avgs(style: str):
-    return ("S",) if style == "asian" else ("logS",) if style == "geometric" else ()
+        return S[:, -1]
+    return np.exp(_trap_mean(np.log(S), T))  # geometric
 
 
 def mc_price(
@@ -398,11 +364,9 @@ def mc_price(
         raise DomainError(f"T must be positive, got {T}")
 
     def block_fn(lo, hi):
-        blk = _sim_block(
-            surface, params, T, cfg, lo, hi, include=("S",), want_avgs=_style_avgs(style)
-        )
-        valid = ~blk["exploded"]
-        return [payoff.value(_style_values(blk, style)[valid])], int((~valid).sum()), 0
+        paths, _, exploded = _sim_block(surface, params, T, cfg, lo, hi, ("S",))
+        v = payoff.value(_style_values(paths["S"], style, T)[~exploded])
+        return [v], int(exploded.sum()), 0
 
     n, mean, cov, excluded, _ = _reduce(block_fn, cfg)
     disc = math.exp(-params.r * T)
@@ -424,9 +388,8 @@ def _frozen_log_average(surface: LocalVolSurface, params: MarketParams, T: float
     and variance v = dt sum_j (c_j sigma_j)^2.
     """
     dt = T / steps
-    j = np.arange(steps)
-    sig = np.asarray(surface.sigma(dt * j, params.S0), dtype=float)
-    c = (steps - j - 0.5) / steps
+    sig, _ = _frozen_coeffs(surface, params.S0, T, steps)
+    c = (steps - np.arange(steps) - 0.5) / steps
     a = c * sig
     m = math.log(params.S0) + dt * math.fsum(c * (params.drift - 0.5 * sig * sig))
     return a, m, dt * math.fsum(a * a)
@@ -483,11 +446,11 @@ def mc_asian_price_cv(
     control, control_mean = _control(payoff, m, v)
 
     def block_fn(lo, hi):
-        blk = _sim_block(surface, params, T, cfg, lo, hi, include=("S",), want_avgs=("S",))
-        valid = ~blk["exploded"]
-        y = payoff.value(blk["avgs"]["S"][valid])
-        x = control(np.exp(m + np.einsum("ij,j->i", blk["dW"], a)[valid]))
-        return [y, x], int((~valid).sum()), 0
+        paths, dW, exploded = _sim_block(surface, params, T, cfg, lo, hi, ("S",))
+        valid = ~exploded
+        y = payoff.value(_trap_mean(paths["S"], T)[valid])
+        x = control(np.exp(m + np.einsum("ij,j->i", dW, a)[valid]))
+        return [y, x], int(exploded.sum()), 0
 
     n, (y_bar, x_bar), cov, excluded, _ = _reduce(block_fn, cfg)
     var_y = float(cov[0, 0])
@@ -524,15 +487,14 @@ def mc_delta_fd(
     p_up = replace(params, S0=params.S0 * (1.0 + bump))
     p_dn = replace(params, S0=params.S0 * (1.0 - bump))
     denom = 2.0 * bump * params.S0
-    avg_names = _style_avgs(style)
 
     def block_fn(lo, hi):
-        up = _sim_block(surface, p_up, T, cfg, lo, hi, include=("S",), want_avgs=avg_names)
-        dn = _sim_block(surface, p_dn, T, cfg, lo, hi, include=("S",), want_avgs=avg_names)
-        valid = ~(up["exploded"] | dn["exploded"])
+        up, _, up_bad = _sim_block(surface, p_up, T, cfg, lo, hi, ("S",))
+        dn, _, dn_bad = _sim_block(surface, p_dn, T, cfg, lo, hi, ("S",))
+        valid = ~(up_bad | dn_bad)
         v = (
-            payoff.value(_style_values(up, style)[valid])
-            - payoff.value(_style_values(dn, style)[valid])
+            payoff.value(_style_values(up["S"], style, T)[valid])
+            - payoff.value(_style_values(dn["S"], style, T)[valid])
         ) / denom
         return [v], int((~valid).sum()), 0
 
@@ -552,7 +514,14 @@ def _suffix_panels(arr: np.ndarray, dt: float) -> np.ndarray:
     return np.cumsum(panels[:, ::-1], axis=1)[:, ::-1]
 
 
-def _asian_weights(blk, params: MarketParams, T: float, dt: float):
+def _second_variation(Z, dW, nu, rho, dt: float) -> np.ndarray:
+    """Prefix sums R_j = sum_{k<j} (nu_k rho_k Z_k dt - rho_k Z_k dW_k), R_0 = 0."""
+    Zl = Z[:, :-1]
+    steps = np.cumsum(nu * rho * Zl * dt - rho * Zl * dW, axis=1)
+    return np.concatenate([np.zeros((Z.shape[0], 1)), steps], axis=1)
+
+
+def _asian_weights(S, Z, dW, sig, nu, rho, params: MarketParams, T: float):
     """Integration-by-parts weight for F = (1/T) Int S dt from (S, Z) paths.
 
     With u_j = 2 Z_j^2 / (sigma_j S_j) the weight is
@@ -561,26 +530,16 @@ def _asian_weights(blk, params: MarketParams, T: float, dt: float):
     D_s Z_t = Z_t (nu_s - c_s (R_t - R_s)), c_s = sigma_s S_s / Z_s,
     R accumulating nu rho Z dt - rho Z dW.
     """
-    S, Z = blk["hist"]["S"], blk["hist"]["Z"]
-    dW = blk["dW"]
-    sig, nu, rho = blk["coeffs"]["sig"], blk["coeffs"]["nu"], blk["coeffs"]["rho"]
+    dt = T / dW.shape[1]
     Zl, Sl = Z[:, :-1], S[:, :-1]
-    mu = params.drift
-
-    R = np.concatenate(
-        [
-            np.zeros((Z.shape[0], 1)),
-            np.cumsum(nu * rho * Zl * dt - rho * Zl * dW, axis=1),
-        ],
-        axis=1,
-    )
+    R = _second_variation(Z, dW, nu, rho, dt)
     IZ = _suffix_panels(Z, dt)
     IZR = _suffix_panels(Z * R, dt)
     I0 = IZ[:, 0]
 
     # integrability floors at 1e-6 of the deterministic expected scale
     t_grid = np.linspace(0.0, T, Z.shape[1])
-    mean_Z = np.exp(mu * t_grid)
+    mean_Z = np.exp(params.drift * t_grid)
     floor_I = 1e-6 * float(np.trapezoid(mean_Z, dx=dt))
     floor_Z = 1e-6 * float(mean_Z.min())
     flagged = (I0 < floor_I) | (Zl.min(axis=1) < floor_Z)
@@ -598,7 +557,7 @@ def _asian_weights(blk, params: MarketParams, T: float, dt: float):
     return w, flagged
 
 
-def _european_weights(blk, params: MarketParams, T: float, dt: float):
+def _european_weights(S, Z, dW, sig, nu, rho, params: MarketParams, T: float):
     """Three-term Skorokhod weight for Phi(S_T) from (S, Z) paths.
 
     weight = G (sum h_j dW_j + sum h_j (nu_j - c_j (R_T - R_j)) dt) / (S0 T)
@@ -606,20 +565,11 @@ def _european_weights(blk, params: MarketParams, T: float, dt: float):
     Exact when dcoef_dx = sigma (level-independent surfaces); otherwise
     accurate to the same O(sqrt(T)) order as the underlying expansion.
     """
-    S, Z = blk["hist"]["S"], blk["hist"]["Z"]
-    dW = blk["dW"]
-    sig, nu, rho = blk["coeffs"]["sig"], blk["coeffs"]["nu"], blk["coeffs"]["rho"]
+    dt = T / dW.shape[1]
     Zl, Sl = Z[:, :-1], S[:, :-1]
-    S0, mu = params.S0, params.drift
-
-    R = np.concatenate(
-        [
-            np.zeros((Z.shape[0], 1)),
-            np.cumsum(nu * rho * Zl * dt - rho * Zl * dW, axis=1),
-        ],
-        axis=1,
-    )
-    floor_Z = 1e-6 * math.exp(-abs(mu) * T)
+    S0 = params.S0
+    R = _second_variation(Z, dW, nu, rho, dt)
+    floor_Z = 1e-6 * math.exp(-abs(params.drift) * T)
     flagged = (Zl.min(axis=1) < floor_Z) | (Z[:, -1] < floor_Z)
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -662,24 +612,18 @@ def mc_delta_malliavin(
             f"steps^2 * n_paths = {cfg.steps**2 * cfg.n_paths:.3g} exceeds the "
             f"malliavin budget {cfg.malliavin_budget:.3g}"
         )
-    dt = T / cfg.steps
-    avg_names = ("S",) if style == "asian" else ()
+    t_left = (T / cfg.steps) * np.arange(cfg.steps)
+    weights = _asian_weights if style == "asian" else _european_weights
 
     def block_fn(lo, hi):
-        blk = _sim_block(
-            surface, params, T, cfg, lo, hi,
-            include=("S", "Z"), want_hist=("S", "Z"), want_avgs=avg_names,
-            want_coeffs=True,
-        )
-        if style == "asian":
-            w, flagged = _asian_weights(blk, params, T, dt)
-            target = blk["avgs"]["S"]
-        else:
-            w, flagged = _european_weights(blk, params, T, dt)
-            target = blk["terminal"]["S"]
-        valid = ~blk["exploded"]
-        cols = [payoff.value(target[valid]) * w[valid], w[valid]]
-        return cols, int((~valid).sum()), int(flagged[valid].sum())
+        paths, dW, exploded = _sim_block(surface, params, T, cfg, lo, hi, ("S", "Z"))
+        S, Z = np.ascontiguousarray(paths["S"]), np.ascontiguousarray(paths["Z"])
+        coeffs = (f(t_left, S[:, :-1])
+                  for f in (surface.sigma, surface.dcoef_dx, surface.dcoef_dxx))
+        w, flagged = weights(S, Z, dW, *coeffs, params, T)
+        valid = ~exploded
+        cols = [payoff.value(_style_values(paths["S"], style, T)[valid]) * w[valid], w[valid]]
+        return cols, int(exploded.sum()), int(flagged[valid].sum())
 
     n, mean, cov, excluded, flagged = _reduce(block_fn, cfg)
     disc = math.exp(-params.r * T)

@@ -83,10 +83,20 @@ class TestConfigResolution:
              "'mc.malliavin_budget'"),
             (["compare", "--experiment.t_grid=[0.1, abc]"], "'experiment.t_grid'"),
             (["ldp", "--experiment.oracle=abc"], "'experiment.oracle'"),
+            (["price", "--experiment.method=asym", "--payoff.family=user-table",
+              "--payoff.table_x=[50,abc]", "--payoff.table_y=[0,1]"], "'table_x'"),
+            (["vols", "--model.surface.family=tabulated-grid", "--model.surface.ts=abc",
+              "--model.surface.xs=[1,2]", "--model.surface.values=[[1,1],[1,1]]"], "'ts'"),
+            (["vols", "--model.surface.family=tabulated-grid", "--model.surface.ts=[0,1]",
+              "--model.surface.xs=[1,2]", "--model.surface.values=[[1,abc],[1,1]]"],
+             "'values'"),
+            (["vols", "--output.dir=null"], "'output.dir'"),
+            (["vols", "--output.dir=[1]"], "'output.dir'"),
         ],
     )
     def test_values_of_the_wrong_type_are_named(self, tmp_path, capsys, argv, named):
-        rc = cli.main([*argv, f"--output.dir={tmp_path / 'out'}"])
+        # the case's own overrides come last, so they win over this output.dir
+        rc = cli.main([argv[0], f"--output.dir={tmp_path / 'out'}", *argv[1:]])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err

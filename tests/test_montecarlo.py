@@ -14,6 +14,7 @@ from asianvol.model import (
     ConstantVol,
     MarketParams,
     PayoffSpec,
+    TabulatedVol,
     TimeScaledVol,
 )
 from asianvol.montecarlo import (
@@ -36,6 +37,11 @@ FLAT = MarketParams(S0=100.0, r=0.0, q=0.0)
 DRIFTY = MarketParams(S0=100.0, r=0.05, q=0.01)
 SKEW = CappedPowerVol(sref=0.2, xref=100.0, exponent=0.3, floor=0.05, cap=1.0)
 CALL = PayoffSpec("call", strike=100.0)
+# sigma varies in t and in x around S0 = 100, so dcoef_dx(t, S0) != sigma(t, S0)
+TABLE = TabulatedVol(
+    ts=[0.0, 0.5, 1.0], xs=[10.0, 80.0, 125.0, 1000.0],
+    values=[[0.35, 0.25, 0.2, 0.15], [0.4, 0.28, 0.22, 0.18], [0.45, 0.3, 0.25, 0.2]],
+)
 
 
 def bs_call_delta(S0, K, r, q, sigma, T):
@@ -88,7 +94,6 @@ class TestSimConfig:
             (dict(steps=10, n_paths=0, seed=0), "n_paths"),
             (dict(steps=10, n_paths=10, seed=-1), "seed"),
             (dict(steps=10, n_paths=10, seed=0, scheme="milstein"), "scheme"),
-            (dict(steps=10, n_paths=10, seed=0, include_flags=("S", "Q")), "Q"),
             (dict(steps=10, n_paths=10, seed=0, threads=0), "threads"),
         ],
     )
@@ -99,7 +104,6 @@ class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig(steps=10, n_paths=10, seed=0)
         assert cfg.scheme == "log-euler"
-        assert set(cfg.include_flags) == {"S", "X", "Y", "Z", "Xt", "Yt", "Xh", "Yh"}
 
 
 # ---------------------------------------------------------------------------
@@ -139,34 +143,49 @@ class TestProcesses:
         b = simulate(ConstantVol(0.2), FLAT, 0.5, cfg)
         assert np.array_equal(b.processes["X"], b.processes["Xt"])
 
-    def test_frozen_gaussian_is_scaled_brownian(self):
+    # (process, surface, coefficient frozen at (t, S0), start value): Xh and
+    # Xt use sigma, Yh and Yt dcoef_dx
+    @pytest.mark.parametrize(
+        "name, surface, coef, x0",
+        [
+            ("Xh", ConstantVol(0.25), "sigma", 100.0),
+            ("Xh", TABLE, "sigma", 100.0),
+            ("Yh", TABLE, "dcoef_dx", 1.0),
+        ],
+        ids=["Xh-constant", "Xh-tabulated", "Yh-tabulated"],
+    )
+    def test_frozen_gaussian_is_scaled_brownian(self, name, surface, coef, x0):
         cfg = SimConfig(steps=40, n_paths=300, seed=3)
-        b = simulate(ConstantVol(0.25), FLAT, 1.0, cfg)
-        w = np.cumsum(b.increments, axis=1)
-        expect = 100.0 + 0.25 * 100.0 * w
-        assert np.allclose(b.processes["Xh"][:, 1:], expect, rtol=0, atol=1e-10)
+        T = 1.0
+        b = simulate(surface, FLAT, T, cfg)
+        dt = T / 40
+        c = np.array([getattr(surface, coef)(j * dt, 100.0) for j in range(40)])
+        expect = x0 + x0 * np.cumsum(c * b.increments, axis=1)
+        assert np.allclose(b.processes[name][:, 1:], expect, rtol=0, atol=1e-10)
 
-    def test_frozen_lognormal_matches_product_formula(self):
-        surf = TimeScaledVol(c0=0.1, c1=0.05, c2=0.2)
+    @pytest.mark.parametrize(
+        "name, surface, coef, x0",
+        [
+            ("Xt", TimeScaledVol(c0=0.1, c1=0.05, c2=0.2), "sigma", 100.0),
+            ("Xt", TABLE, "sigma", 100.0),
+            ("Yt", TABLE, "dcoef_dx", 1.0),
+        ],
+        ids=["Xt-time-scaled", "Xt-tabulated", "Yt-tabulated"],
+    )
+    def test_frozen_lognormal_matches_product_formula(self, name, surface, coef, x0):
         cfg = SimConfig(steps=30, n_paths=200, seed=11)
         T = 0.5
-        b = simulate(surf, FLAT, T, cfg)
+        b = simulate(surface, FLAT, T, cfg)
         dt = T / 30
-        sig = np.array([surf.sigma(j * dt, 100.0) for j in range(30)])
-        logxt = np.cumsum(-0.5 * sig**2 * dt + sig * b.increments, axis=1)
-        assert np.allclose(b.processes["Xt"][:, 1:], 100.0 * np.exp(logxt), rtol=1e-12)
+        c = np.array([getattr(surface, coef)(j * dt, 100.0) for j in range(30)])
+        logx = np.cumsum(-0.5 * c**2 * dt + c * b.increments, axis=1)
+        assert np.allclose(b.processes[name][:, 1:], x0 * np.exp(logx), rtol=1e-12)
 
     def test_driftless_pair_matches_spot_pair_at_zero_drift(self):
         cfg = SimConfig(steps=60, n_paths=400, seed=5)
         b = simulate(SKEW, FLAT, 0.75, cfg)
         assert np.array_equal(b.processes["S"], b.processes["X"])
         assert np.array_equal(b.processes["Z"], b.processes["Y"])
-
-    def test_subset_of_flags_and_dependencies(self):
-        cfg = SimConfig(steps=20, n_paths=100, seed=1, include_flags=("Z",))
-        b = simulate(SKEW, DRIFTY, 0.5, cfg)
-        assert set(b.processes) == {"Z"}
-        assert np.isfinite(b.processes["Z"]).all()
 
     def test_trapezoid_average_against_closed_form(self):
         # sigma = 0: the average is a deterministic trapezoid sum

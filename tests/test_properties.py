@@ -5,7 +5,7 @@ import numpy as np
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from asianvol._rng import BLOCK
+from asianvol._rng import BLOCK, normal_block
 from asianvol.asymptotics import asym_delta, asym_price
 from asianvol.model import (
     _PAYOFFS,
@@ -51,6 +51,25 @@ def test_reduce_is_thread_invariant_and_exact_without_spread(
     cov = runs[0][2]
     assert (cov[-1] == 0.0).all() and (cov[:, -1] == 0.0).all()
     assert (np.diag(cov) >= 0.0).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 400),
+    n_steps=st.integers(1, 13),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_normal_block_is_partition_invariant(n, n_steps, seed, data):
+    """Any ragged partition of the paths [0, n) draws the same normals, byte
+    for byte, for every n_steps (so every word offset modulo Philox's 4-word
+    counter block): the kernel's thread-count invariance rests on this."""
+    cuts = data.draw(st.lists(st.integers(1, n - 1), unique=True, max_size=6)) if n > 1 else []
+    edges = [0, *sorted(cuts), n]
+    whole = normal_block(seed, n_steps, 0, n)
+    parts = [normal_block(seed, n_steps, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    assert whole.shape == (n, n_steps) and np.isfinite(whole).all()
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 # ---------------------------------------------------------------------------
