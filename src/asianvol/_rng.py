@@ -21,7 +21,7 @@ BLOCK = 8192
 
 
 def normal_block(seed: int, n_steps: int, lo: int, hi: int) -> np.ndarray:
-    """Standard normals for paths [lo, hi), shape (hi - lo, n_steps)."""
+    """Standard normals for paths [lo, hi), shape (hi - lo, n_steps), in a new array."""
     if hi <= lo or lo < 0:
         raise ValueError(f"bad path range [{lo}, {hi})")
     w0 = lo * n_steps
@@ -34,5 +34,7 @@ def normal_block(seed: int, n_steps: int, lo: int, hi: int) -> np.ndarray:
     raw = Generator(bg).integers(
         0, 2**64, size=r + nwords, dtype=np.uint64, endpoint=False
     )[r:]
-    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
-    return ndtri(u).reshape(hi - lo, n_steps)
+    raw >>= np.uint64(11)  # in place: the words and their uniforms only
+    u = raw * 2.0**-53
+    u += 2.0**-54
+    return ndtri(u, out=u).reshape(hi - lo, n_steps)

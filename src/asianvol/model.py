@@ -87,17 +87,14 @@ class MarketParams:
 # local volatility surfaces
 # ---------------------------------------------------------------------------
 
-def _broadcast(t, x):
-    """Broadcast (t, x) to a common float shape; remember if both were scalars."""
+def _evaluate(surface, fn, t, x):
+    """fn on (t, x) broadcast to a common float shape, after one domain check
+    on the inputs as given; scalar-in gives scalar-out."""
     ta = np.asarray(t, dtype=float)
     xa = np.asarray(x, dtype=float)
-    scalar = ta.ndim == 0 and xa.ndim == 0
-    tb, xb = np.broadcast_arrays(ta, xa)
-    return tb, xb, scalar
-
-
-def _ret(val, scalar):
-    return float(val) if scalar else val
+    surface._check_domain(ta, xa)
+    val = fn(*np.broadcast_arrays(ta, xa))
+    return float(val) if ta.ndim == 0 and xa.ndim == 0 else val
 
 
 class LocalVolSurface:
@@ -114,19 +111,13 @@ class LocalVolSurface:
         raise NotImplementedError
 
     def sigma(self, t, x):
-        tb, xb, scalar = _broadcast(t, x)
-        self._check_domain(tb, xb)
-        return _ret(self._sigma(tb, xb), scalar)
+        return _evaluate(self, self._sigma, t, x)
 
     def dcoef_dx(self, t, x):
-        tb, xb, scalar = _broadcast(t, x)
-        self._check_domain(tb, xb)
-        return _ret(self._dcoef_dx(tb, xb), scalar)
+        return _evaluate(self, self._dcoef_dx, t, x)
 
     def dcoef_dxx(self, t, x):
-        tb, xb, scalar = _broadcast(t, x)
-        self._check_domain(tb, xb)
-        return _ret(self._dcoef_dxx(tb, xb), scalar)
+        return _evaluate(self, self._dcoef_dxx, t, x)
 
     # default derivative implementation: central differences on a = sigma*x
     _fd_step: Optional[float] = None
@@ -273,23 +264,26 @@ class CappedPowerVol(LocalVolSurface):
         self.cap = float(cap)
 
     def _raw(self, x):
-        return self.sref * (x / self.xref) ** (-self.exponent)
+        return np.asarray(self.sref * (x / self.xref) ** (-self.exponent))
 
     def _sigma(self, t, x):
-        return np.clip(self._raw(x), self.floor, self.cap)
+        sig = self._raw(x)  # clipped in place, as below: one temporary of x's size
+        return np.clip(sig, self.floor, self.cap, out=sig)
+
+    def _sig_on_power(self, x):
+        sig = self._raw(x)
+        on_power = (sig > self.floor) & (sig < self.cap)
+        return np.clip(sig, self.floor, self.cap, out=sig), on_power
 
     def _dcoef_dx(self, t, x):
-        raw = self._raw(x)
-        sig = np.clip(raw, self.floor, self.cap)
-        on_power = (raw > self.floor) & (raw < self.cap)
-        return np.where(on_power, (1.0 - self.exponent) * sig, sig)
+        sig, on_power = self._sig_on_power(x)
+        return np.multiply(sig, 1.0 - self.exponent, out=sig, where=on_power)
 
     def _dcoef_dxx(self, t, x):
-        raw = self._raw(x)
-        sig = np.clip(raw, self.floor, self.cap)
-        on_power = (raw > self.floor) & (raw < self.cap)
-        b = self.exponent
-        return np.where(on_power, -b * (1.0 - b) * sig / x, 0.0)
+        sig, on_power = self._sig_on_power(x)
+        sig *= -self.exponent * (1.0 - self.exponent)
+        sig /= x
+        return np.where(on_power, sig, 0.0)
 
 
 class TabulatedVol(LocalVolSurface):

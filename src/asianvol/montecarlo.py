@@ -55,6 +55,11 @@ weight is the three-term Skorokhod representation with G = S_T / Z_T.
 Paths whose denominators fall below 1e-6 of their expected scale get
 weight zero (mirroring the indicator truncations that make the weights
 integrable) and are counted in diagnostics.
+
+Memory per block per thread, at its traced peak in (B, steps) arrays:
+mc_price and mc_asian_price_cv 2 (increments, S history), mc_delta_fd 2
+(one leg at a time), mc_delta_malliavin 7 for either style (the weights
+pop S and Z from the kernel's paths and build their terms in place).
 """
 
 from __future__ import annotations
@@ -139,10 +144,9 @@ class McEstimate:
 # core stepping kernel
 # ---------------------------------------------------------------------------
 
-def _frozen_coeffs(surface: LocalVolSurface, S0: float, T: float, steps: int):
-    """sigma(t_j, S0) and dcoef_dx(t_j, S0) at the left grid points t_j = j T / steps."""
-    t = (T / steps) * np.arange(steps)
-    return surface.sigma(t, S0), surface.dcoef_dx(t, S0)
+def _t_left(T: float, steps: int) -> np.ndarray:
+    """The left grid points t_j = j T / steps, j < steps."""
+    return (T / steps) * np.arange(steps)
 
 
 def _level_pair(surface, S0: float, mu: float, dW, dt: float, log_scheme: bool, sens: bool):
@@ -198,7 +202,8 @@ def _sim_block(
     """
     steps, dt = cfg.steps, T / cfg.steps
     S0 = params.S0
-    dW = math.sqrt(dt) * normal_block(cfg.seed, steps, lo, hi)
+    dW = normal_block(cfg.seed, steps, lo, hi)
+    dW *= math.sqrt(dt)
     exploded = np.zeros(hi - lo, dtype=bool)
     hist = {}
     for level, sens, mu in (("S", "Z", params.drift), ("X", "Y", 0.0)):
@@ -208,7 +213,8 @@ def _sim_block(
             )
             exploded |= bad
     if {"Xt", "Yt", "Xh", "Yh"} & set(include):
-        sig0, nu0 = _frozen_coeffs(surface, S0, T, steps)
+        t = _t_left(T, steps)
+        sig0, nu0 = surface.sigma(t, S0), surface.dcoef_dx(t, S0)
         frozen = (("Xt", sig0, S0), ("Yt", nu0, 1.0), ("Xh", sig0, S0), ("Yh", nu0, 1.0))
         for name, c, x0 in frozen:
             if name not in include:
@@ -341,8 +347,14 @@ def _style_values(S: np.ndarray, style: str, T: float):
     if style == "asian":
         return _trap_mean(S, T)
     if style == "european":
-        return S[:, -1]
+        return S[:, -1].copy()  # not a view that keeps the history alive
     return np.exp(_trap_mean(np.log(S), T))  # geometric
+
+
+def _style_leg(surface, params: MarketParams, style: str, T: float, cfg: SimConfig, lo, hi):
+    """(payoff arguments, exploded) of paths [lo, hi); only they outlive the call."""
+    paths, exploded = _sim_block(surface, params, T, cfg, lo, hi, ("S",))[::2]  # no dW
+    return _style_values(paths.pop("S"), style, T), exploded
 
 
 def mc_price(
@@ -364,9 +376,8 @@ def mc_price(
         raise DomainError(f"T must be positive, got {T}")
 
     def block_fn(lo, hi):
-        paths, _, exploded = _sim_block(surface, params, T, cfg, lo, hi, ("S",))
-        v = payoff.value(_style_values(paths["S"], style, T)[~exploded])
-        return [v], int(exploded.sum()), 0
+        x, exploded = _style_leg(surface, params, style, T, cfg, lo, hi)
+        return [payoff.value(x[~exploded])], int(exploded.sum()), 0
 
     n, mean, cov, excluded, _ = _reduce(block_fn, cfg)
     disc = math.exp(-params.r * T)
@@ -388,7 +399,7 @@ def _frozen_log_average(surface: LocalVolSurface, params: MarketParams, T: float
     and variance v = dt sum_j (c_j sigma_j)^2.
     """
     dt = T / steps
-    sig, _ = _frozen_coeffs(surface, params.S0, T, steps)
+    sig = surface.sigma(_t_left(T, steps), params.S0)
     c = (steps - np.arange(steps) - 0.5) / steps
     a = c * sig
     m = math.log(params.S0) + dt * math.fsum(c * (params.drift - 0.5 * sig * sig))
@@ -489,13 +500,12 @@ def mc_delta_fd(
     denom = 2.0 * bump * params.S0
 
     def block_fn(lo, hi):
-        up, _, up_bad = _sim_block(surface, p_up, T, cfg, lo, hi, ("S",))
-        dn, _, dn_bad = _sim_block(surface, p_dn, T, cfg, lo, hi, ("S",))
+        # one leg at a time: only its payoff arguments outlive it
+        (up, up_bad), (dn, dn_bad) = (
+            _style_leg(surface, p, style, T, cfg, lo, hi) for p in (p_up, p_dn)
+        )
         valid = ~(up_bad | dn_bad)
-        v = (
-            payoff.value(_style_values(up["S"], style, T)[valid])
-            - payoff.value(_style_values(dn["S"], style, T)[valid])
-        ) / denom
+        v = (payoff.value(up[valid]) - payoff.value(dn[valid])) / denom
         return [v], int((~valid).sum()), 0
 
     n, mean, cov, excluded, _ = _reduce(block_fn, cfg)
@@ -507,58 +517,82 @@ def mc_delta_fd(
 
 
 # --- Malliavin weights -----------------------------------------------------
+# They pop the S and Z histories from the kernel's paths (an argument the
+# caller holds could not be freed) and update history-sized arrays in place.
 
 def _suffix_panels(arr: np.ndarray, dt: float) -> np.ndarray:
     """Suffix sums of trapezoid panels: out[:, j] = Int_{t_j}^T arr dt."""
     panels = 0.5 * (arr[:, :-1] + arr[:, 1:]) * dt
-    return np.cumsum(panels[:, ::-1], axis=1)[:, ::-1]
+    np.cumsum(panels[:, ::-1], axis=1, out=panels[:, ::-1])
+    return panels
 
 
-def _second_variation(Z, dW, nu, rho, dt: float) -> np.ndarray:
-    """Prefix sums R_j = sum_{k<j} (nu_k rho_k Z_k dt - rho_k Z_k dW_k), R_0 = 0."""
+def _weight_terms(surface: LocalVolSurface, paths: dict, dW, T: float):
+    """(Z, Zl, nu, R, a): the Z history and its left points, and at the left
+    points of the S history nu = dcoef_dx, a = sigma S and the second-variation
+    prefix sums R_j = sum_{k<j} (nu_k rho_k Z_k dt - rho_k Z_k dW_k), R_0 = 0,
+    with rho = dcoef_dxx."""
+    t = _t_left(T, dW.shape[1])
+    S = np.ascontiguousarray(paths.pop("S")[:, :-1])
+    Z = np.ascontiguousarray(paths.pop("Z"))
     Zl = Z[:, :-1]
-    steps = np.cumsum(nu * rho * Zl * dt - rho * Zl * dW, axis=1)
-    return np.concatenate([np.zeros((Z.shape[0], 1)), steps], axis=1)
+    a = surface.sigma(t, S)
+    a *= S
+    rho, nu = surface.dcoef_dxx(t, S), surface.dcoef_dx(t, S)
+    R = np.zeros_like(Z)
+    np.multiply(nu, rho, out=R[:, 1:])
+    R[:, 1:] *= Zl
+    R[:, 1:] *= T / dW.shape[1]
+    rho *= Zl
+    rho *= dW
+    R[:, 1:] -= rho
+    np.cumsum(R[:, 1:], axis=1, out=R[:, 1:])
+    return Z, Zl, nu, R, a
 
 
-def _asian_weights(S, Z, dW, sig, nu, rho, params: MarketParams, T: float):
-    """Integration-by-parts weight for F = (1/T) Int S dt from (S, Z) paths.
+def _asian_weights(surface: LocalVolSurface, paths: dict, dW, params: MarketParams, T: float):
+    """Integration-by-parts weight for F = (1/T) Int S dt from the (S, Z) paths.
 
     With u_j = 2 Z_j^2 / (sigma_j S_j) the weight is
     (1/I) sum u_j dW_j + (1/I^2) sum u_j K_j dt, where I = Int Z dt and
     K_j = Int_{t_j}^T D_{t_j} Z_t dt comes from the closed form
-    D_s Z_t = Z_t (nu_s - c_s (R_t - R_s)), c_s = sigma_s S_s / Z_s,
-    R accumulating nu rho Z dt - rho Z dW.
+    D_s Z_t = Z_t (nu_s - c_s (R_t - R_s)), c_s = sigma_s S_s / Z_s, as
+    K = (nu + c R) IZ - c IZR with IZ, IZR the suffix integrals of Z and Z R.
     """
     dt = T / dW.shape[1]
-    Zl, Sl = Z[:, :-1], S[:, :-1]
-    R = _second_variation(Z, dW, nu, rho, dt)
-    IZ = _suffix_panels(Z, dt)
-    IZR = _suffix_panels(Z * R, dt)
-    I0 = IZ[:, 0]
+    Z, Zl, nu, R, a = _weight_terms(surface, paths, dW, T)
 
     # integrability floors at 1e-6 of the deterministic expected scale
     t_grid = np.linspace(0.0, T, Z.shape[1])
     mean_Z = np.exp(params.drift * t_grid)
     floor_I = 1e-6 * float(np.trapezoid(mean_Z, dx=dt))
     floor_Z = 1e-6 * float(mean_Z.min())
-    flagged = (I0 < floor_I) | (Zl.min(axis=1) < floor_Z)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = sig * Sl / Zl
-        u = 2.0 * Zl * Zl / (sig * Sl)
-        K = (nu + c * R[:, :-1]) * IZ - c * IZR
+        u = 2.0 * Zl
+        u *= Zl
+        u /= a
+        a /= Zl  # c from here
+        IZ = _suffix_panels(Z, dt)
+        F1 = 1.0 / IZ[:, 0]
+        flagged = (IZ[:, 0] < floor_I) | (Zl.min(axis=1) < floor_Z)
+        Z *= R  # Z R from here
+        R[:, :-1] *= a  # K, built in nu
+        nu += R[:, :-1]
+        nu *= IZ
+        del R, IZ
+        a *= _suffix_panels(Z, dt)
+        nu -= a
         delta_u = np.einsum("ij,ij->i", u, dW)
-        corr = np.einsum("ij,ij->i", u, K) * dt
-        F1 = 1.0 / I0
+        corr = np.einsum("ij,ij->i", u, nu) * dt
         w = F1 * delta_u + F1 * F1 * corr
     w[flagged] = 0.0
     w[~np.isfinite(w)] = 0.0
     return w, flagged
 
 
-def _european_weights(S, Z, dW, sig, nu, rho, params: MarketParams, T: float):
-    """Three-term Skorokhod weight for Phi(S_T) from (S, Z) paths.
+def _european_weights(surface: LocalVolSurface, paths: dict, dW, params: MarketParams, T: float):
+    """Three-term Skorokhod weight for Phi(S_T) from the (S, Z) paths.
 
     weight = G (sum h_j dW_j + sum h_j (nu_j - c_j (R_T - R_j)) dt) / (S0 T)
              - 1/S0,  with h_j = Z_j / (sigma_j S_j) and G = S_T / Z_T.
@@ -566,18 +600,19 @@ def _european_weights(S, Z, dW, sig, nu, rho, params: MarketParams, T: float):
     accurate to the same O(sqrt(T)) order as the underlying expansion.
     """
     dt = T / dW.shape[1]
-    Zl, Sl = Z[:, :-1], S[:, :-1]
     S0 = params.S0
-    R = _second_variation(Z, dW, nu, rho, dt)
+    S_T = paths["S"][:, -1].copy()
+    Z, Zl, nu, R, a = _weight_terms(surface, paths, dW, T)
     floor_Z = 1e-6 * math.exp(-abs(params.drift) * T)
     flagged = (Zl.min(axis=1) < floor_Z) | (Z[:, -1] < floor_Z)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = sig * Sl / Zl
-        h = Zl / (sig * Sl)
+        h = Zl / a
+        a /= Zl  # c from here
+        nu -= a * (R[:, -1:] - R[:, :-1])
         delta_h = np.einsum("ij,ij->i", h, dW)
-        corr = np.einsum("ij,ij->i", h, nu - c * (R[:, -1:] - R[:, :-1])) * dt
-        G = S[:, -1] / Z[:, -1]
+        corr = np.einsum("ij,ij->i", h, nu) * dt
+        G = S_T / Z[:, -1]
         w = G * (delta_h + corr) / (S0 * T) - 1.0 / S0
     w[flagged] = 0.0
     w[~np.isfinite(w)] = 0.0
@@ -612,17 +647,14 @@ def mc_delta_malliavin(
             f"steps^2 * n_paths = {cfg.steps**2 * cfg.n_paths:.3g} exceeds the "
             f"malliavin budget {cfg.malliavin_budget:.3g}"
         )
-    t_left = (T / cfg.steps) * np.arange(cfg.steps)
     weights = _asian_weights if style == "asian" else _european_weights
 
     def block_fn(lo, hi):
         paths, dW, exploded = _sim_block(surface, params, T, cfg, lo, hi, ("S", "Z"))
-        S, Z = np.ascontiguousarray(paths["S"]), np.ascontiguousarray(paths["Z"])
-        coeffs = (f(t_left, S[:, :-1])
-                  for f in (surface.sigma, surface.dcoef_dx, surface.dcoef_dxx))
-        w, flagged = weights(S, Z, dW, *coeffs, params, T)
+        x = _style_values(paths["S"], style, T)
+        w, flagged = weights(surface, paths, dW, params, T)
         valid = ~exploded
-        cols = [payoff.value(_style_values(paths["S"], style, T)[valid]) * w[valid], w[valid]]
+        cols = [payoff.value(x[valid]) * w[valid], w[valid]]
         return cols, int(exploded.sum()), int(flagged[valid].sum())
 
     n, mean, cov, excluded, flagged = _reduce(block_fn, cfg)

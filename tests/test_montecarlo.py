@@ -1,11 +1,14 @@
 """Tests for the path engine and Monte Carlo estimators."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.random import Philox
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from asianvol.errors import DomainError, NumericError, ValidationError
@@ -80,6 +83,25 @@ class TestDriver:
         assert abs(z.mean()) < 4 / math.sqrt(n)
         assert abs(z.var() - 1.0) < 4 * math.sqrt(2.0 / n)
         assert np.isfinite(z).all()
+
+    @pytest.mark.parametrize("n_steps, lo, hi", [(7, 3, 11), (5, 1, 2), (3, 7, 40)])
+    def test_matches_an_independent_philox_reference(self, n_steps, lo, hi):
+        # word offsets lo * n_steps = 21, 5, 21: none a multiple of Philox's
+        # 4-word counter block; the reference draws every word from 0
+        assert (lo * n_steps) % 4
+        words = Philox(key=2024).random_raw(hi * n_steps)[lo * n_steps:]
+        u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+        ref = ndtri(u).reshape(hi - lo, n_steps)
+        got = normal_block(2024, n_steps, lo, hi)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_returns_a_fresh_writable_array(self):
+        a = normal_block(5, 4, 3, 9)
+        b = normal_block(5, 4, 3, 9)
+        assert a.flags.writeable and not np.shares_memory(a, b)
+        ref = b.copy()
+        a *= 0.1  # a caller scaling its draws in place leaves other draws alone
+        assert b.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +644,40 @@ class TestMalliavinDelta:
         )
         assert base.mean == par.mean
         assert base.diagnostics == par.diagnostics
+
+
+# ---------------------------------------------------------------------------
+# memory per block
+# ---------------------------------------------------------------------------
+
+class TestBlockMemory:
+    """Traced peak of one 8192 x 200 block on the c06/c10 skew, in units of
+    one (B, steps) float array; the estimators run one block per thread."""
+
+    PARAMS = MarketParams(S0=100.0, r=0.03, q=0.01)
+    CFG = SimConfig(steps=200, n_paths=BLOCK, seed=8)
+
+    RUNS = {
+        "price": (lambda p, c: mc_price(SKEW, p, CALL, "asian", 0.25, c), 2.1),
+        "price-cv": (lambda p, c: mc_asian_price_cv(SKEW, p, CALL, 0.25, c), 2.1),
+        "delta-fd": (lambda p, c: mc_delta_fd(SKEW, p, CALL, "asian", 0.25, c), 3.1),
+        "malliavin-asian": (
+            lambda p, c: mc_delta_malliavin(SKEW, p, CALL, "asian", 0.25, c), 10.0),
+        "malliavin-european": (
+            lambda p, c: mc_delta_malliavin(SKEW, p, CALL, "european", 0.25, c), 9.0),
+    }
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_traced_peak(self, name):
+        run, limit = self.RUNS[name]
+        tracemalloc.start()
+        try:
+            run(self.PARAMS, self.CFG)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = peak / (8 * BLOCK * self.CFG.steps)
+        assert arrays <= limit, f"{name}: peak of {arrays:.2f} (B, steps) arrays"
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Property tests (hypothesis) for invariants of the engine, the quotes and
 the config round trips."""
 
+import math
+
 import numpy as np
 import yaml
 from hypothesis import given, settings, strategies as st
 
 from asianvol._rng import BLOCK, normal_block
-from asianvol.asymptotics import asym_delta, asym_price
+from asianvol.asymptotics import asian_vol, asym_delta, asym_price, european_vol
 from asianvol.model import (
     _PAYOFFS,
     _SURFACES,
@@ -70,6 +72,16 @@ def test_normal_block_is_partition_invariant(n, n_steps, seed, data):
     parts = [normal_block(seed, n_steps, lo, hi) for lo, hi in zip(edges, edges[1:])]
     assert whole.shape == (n, n_steps) and np.isfinite(whole).all()
     assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sigma=st.floats(1e-3, 5.0), S0=st.floats(1e-2, 1e4), T=st.floats(1e-4, 10.0))
+def test_constant_vol_asian_to_european_ratio_is_one_over_sqrt3(sigma, S0, T):
+    """For a flat surface sigma_A^2 = sigma^2 Int_0^T (T-t)^2 dt / T^3 = sigma^2 / 3
+    at every (S0, T), while sigma_E = sigma."""
+    surface = ConstantVol(sigma)
+    ratio = asian_vol(surface, S0, T) / european_vol(surface, S0, T)
+    assert abs(ratio * math.sqrt(3.0) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
