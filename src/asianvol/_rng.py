@@ -34,7 +34,9 @@ def normal_block(seed: int, n_steps: int, lo: int, hi: int) -> np.ndarray:
     raw = Generator(bg).integers(
         0, 2**64, size=r + nwords, dtype=np.uint64, endpoint=False
     )[r:]
-    raw >>= np.uint64(11)  # in place: the words and their uniforms only
-    u = raw * 2.0**-53
-    u += 2.0**-54
+    # (2k + 1) 2^-54 with k the top 53 bits, i.e. k 2^-53 + 2^-54 rounded
+    # the same way; shifted in place, converted signed into a fresh array
+    raw >>= np.uint64(10)
+    raw |= np.uint64(1)
+    u = raw.view(np.int64) * 2.0**-54
     return ndtri(u, out=u).reshape(hi - lo, n_steps)

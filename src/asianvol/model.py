@@ -12,7 +12,9 @@ needs the first and second x-derivatives of the *diffusion coefficient*
 
 so every surface exposes those too (``dcoef_dx``, ``dcoef_dxx``),
 analytically where the family permits and by central differences for
-tabulated data.
+tabulated data.  ``sigma(t, x, order)`` is the fused entry point: with
+order 1 or 2 it returns sigma, a' and (for 2) a'' from one domain check
+and one family evaluation.
 
 Four surface families are supported:
 
@@ -87,14 +89,23 @@ class MarketParams:
 # local volatility surfaces
 # ---------------------------------------------------------------------------
 
-def _evaluate(surface, fn, t, x):
-    """fn on (t, x) broadcast to a common float shape, after one domain check
-    on the inputs as given; scalar-in gives scalar-out."""
+def _evaluate(fn, t, x):
+    """fn on (t, x) after one domain check on the inputs as given; x is
+    broadcast against an array t of another shape (a 0-d t works as it is).
+    Scalar in gives scalar out, a tuple of them for a tuple."""
     ta = np.asarray(t, dtype=float)
     xa = np.asarray(x, dtype=float)
-    surface._check_domain(ta, xa)
-    val = fn(*np.broadcast_arrays(ta, xa))
-    return float(val) if ta.ndim == 0 and xa.ndim == 0 else val
+    # one min/max pass per input, no temporaries; a NaN fails every comparison
+    if not (xa.min(initial=np.inf) > 0.0 and xa.max(initial=-np.inf) < np.inf):
+        raise DomainError("surface evaluated at non-positive or non-finite x")
+    if not (ta.min(initial=np.inf) >= 0.0 and ta.max(initial=-np.inf) < np.inf):
+        raise DomainError("surface evaluated at negative or non-finite t")
+    if ta.ndim and ta.shape != xa.shape:
+        ta, xa = np.broadcast_arrays(ta, xa)
+    val = fn(ta, xa)
+    if xa.ndim:
+        return val
+    return tuple(map(float, val)) if isinstance(val, tuple) else float(val)
 
 
 class LocalVolSurface:
@@ -102,22 +113,32 @@ class LocalVolSurface:
 
     ``sigma``, ``dcoef_dx`` and ``dcoef_dxx`` accept scalars or arrays for
     both arguments and broadcast them; scalar-in gives scalar-out.
+    ``sigma(t, x, order)`` with order 1 or 2 is the fused call: the tuple
+    (sigma, a', a'') up to that derivative, from one domain check and one
+    family evaluation, in arrays that share no memory.
     """
 
     family: str = "abstract"
 
-    # subclasses must implement _sigma on broadcast float arrays
+    # subclasses must implement _sigma on float arrays: x of the result's
+    # shape, t 0-d or of x's shape
     def _sigma(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def sigma(self, t, x):
-        return _evaluate(self, self._sigma, t, x)
+    def sigma(self, t, x, order: int = 0):
+        if order == 0:
+            return _evaluate(self._sigma, t, x)
+        return _evaluate(lambda t, x: self._coefs(t, x, order), t, x)
 
     def dcoef_dx(self, t, x):
-        return _evaluate(self, self._dcoef_dx, t, x)
+        return _evaluate(self._dcoef_dx, t, x)
 
     def dcoef_dxx(self, t, x):
-        return _evaluate(self, self._dcoef_dxx, t, x)
+        return _evaluate(self._dcoef_dxx, t, x)
+
+    def _coefs(self, t, x, order: int) -> tuple:
+        """(sigma, a', a'')[:order + 1] on (t, x) as _evaluate passes them."""
+        return tuple(f(t, x) for f in (self._sigma, self._dcoef_dx, self._dcoef_dxx)[:order + 1])
 
     # default derivative implementation: central differences on a = sigma*x
     _fd_step: Optional[float] = None
@@ -145,12 +166,6 @@ class LocalVolSurface:
     def _center_for_stencil(self, x, h):
         """Hook for bounded-domain surfaces to keep the stencil inside."""
         return x
-
-    def _check_domain(self, t, x) -> None:
-        if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-            raise DomainError("surface evaluated at non-positive or non-finite x")
-        if np.any(t < 0.0) or not np.all(np.isfinite(t)):
-            raise DomainError("surface evaluated at negative or non-finite t")
 
     # metadata ------------------------------------------------------------
 
@@ -263,27 +278,28 @@ class CappedPowerVol(LocalVolSurface):
         self.floor = float(floor)
         self.cap = float(cap)
 
-    def _raw(self, x):
-        return np.asarray(self.sref * (x / self.xref) ** (-self.exponent))
-
     def _sigma(self, t, x):
-        sig = self._raw(x)  # clipped in place, as below: one temporary of x's size
-        return np.clip(sig, self.floor, self.cap, out=sig)
+        sig = np.asarray(self.sref * (x / self.xref) ** (-self.exponent))
+        return np.clip(sig, self.floor, self.cap, out=sig)  # one temporary of x's size
 
-    def _sig_on_power(self, x):
-        sig = self._raw(x)
+    def _coefs(self, t, x, order):
+        # order 1 or 2, from one power: the clipped sigma is strictly inside
+        # (floor, cap) exactly where the power branch is
+        sig = self._sigma(t, x)
         on_power = (sig > self.floor) & (sig < self.cap)
-        return np.clip(sig, self.floor, self.cap, out=sig), on_power
+        out = (sig, np.multiply(sig, 1.0 - self.exponent, out=sig.copy(), where=on_power))
+        if order == 1:
+            return out
+        d2 = np.zeros_like(sig)
+        np.multiply(sig, -self.exponent * (1.0 - self.exponent), out=d2, where=on_power)
+        d2 /= x
+        return out + (d2,)
 
     def _dcoef_dx(self, t, x):
-        sig, on_power = self._sig_on_power(x)
-        return np.multiply(sig, 1.0 - self.exponent, out=sig, where=on_power)
+        return self._coefs(t, x, 1)[1]
 
     def _dcoef_dxx(self, t, x):
-        sig, on_power = self._sig_on_power(x)
-        sig *= -self.exponent * (1.0 - self.exponent)
-        sig /= x
-        return np.where(on_power, sig, 0.0)
+        return self._coefs(t, x, 2)[2]
 
 
 class TabulatedVol(LocalVolSurface):
@@ -342,11 +358,6 @@ class TabulatedVol(LocalVolSurface):
 
     def _center_for_stencil(self, x, h):
         return np.clip(x, self.xs[0] + h, self.xs[-1] - h)
-
-    def _check_domain(self, t, x) -> None:
-        # range checks happen inside _sigma with grid-specific messages
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(x))):
-            raise DomainError("surface evaluated at non-finite (t, x)")
 
     @property
     def is_time_dependent(self):

@@ -14,11 +14,12 @@ One Brownian driver, eight processes.  On a uniform grid t_j = j dt over
 
 One stepping kernel, _sim_block, evolves a block of paths.  (S, Z) at
 drift r-q and (X, Y) at drift 0 go through the same level/sensitivity
-loop, with coefficients at the left grid point: the level steps by Euler
-or log-Euler (selected in SimConfig), the sensitivity by Euler, so at zero
-drift the two pairs agree bit for bit.  The frozen processes have
-deterministic coefficients sigma(t_j, S0) and dcoef_dx(t_j, S0) and no
-step loop: Xt and Yt are cumulative products of their exact lognormal
+loop, with coefficients at the left grid point from one coefficient call
+per step (the fused sigma(t, x, 1) when the sensitivity is evolved): the
+level steps by Euler or log-Euler (selected in SimConfig), the sensitivity
+by Euler, so at zero drift the two pairs agree bit for bit.  The frozen
+processes have deterministic coefficients sigma(t_j, S0) and
+dcoef_dx(t_j, S0), from one call, and no step loop: Xt and Yt are cumulative products of their exact lognormal
 step factors, Xh and Yh cumulative sums of their Gaussian increments.
 The kernel returns (paths, dW, exploded): one (B, steps+1) history per
 requested process, the (B, steps) increments, and the paths on which a
@@ -166,19 +167,19 @@ def _level_pair(surface, S0: float, mu: float, dW, dt: float, log_scheme: bool, 
     bad = np.zeros(B, dtype=bool)
     for j in range(steps):
         tj, x, dWj = j * dt, L[j], dW[:, j]
-        sig = surface.sigma(tj, x)
+        sig, nu = surface.sigma(tj, x, 1) if sens else (surface.sigma(tj, x), None)
         if log_scheme:
             L[j + 1] = x * np.exp((mu - 0.5 * sig**2) * dt + sig * dWj)
         else:
             L[j + 1] = x * (1.0 + mu * dt + sig * dWj)
-        rows = [(L, ~np.isfinite(L[j + 1]) | (L[j + 1] <= 0.0))]
         if sens:
             z = D[j]
-            D[j + 1] = z * (1.0 + mu * dt) + surface.dcoef_dx(tj, x) * z * dWj
-            rows.append((D, ~np.isfinite(D[j + 1])))
-        for h, b in rows:
-            if b.any():
-                h[j + 1][b] = h[j][b]
+            D[j + 1] = z * (1.0 + mu * dt) + nu * z * dWj
+        for h, low in ((L, 0.0), (D, -np.inf))[:1 + sens]:
+            row = h[j + 1]
+            if not (row.min() > low and row.max() < np.inf):  # a NaN fails too
+                b = ~((row > low) & (row < np.inf))
+                row[b] = h[j][b]
                 bad |= b
     return L, D, bad
 
@@ -214,7 +215,7 @@ def _sim_block(
             exploded |= bad
     if {"Xt", "Yt", "Xh", "Yh"} & set(include):
         t = _t_left(T, steps)
-        sig0, nu0 = surface.sigma(t, S0), surface.dcoef_dx(t, S0)
+        sig0, nu0 = surface.sigma(t, S0, 1)
         frozen = (("Xt", sig0, S0), ("Yt", nu0, 1.0), ("Xh", sig0, S0), ("Yh", nu0, 1.0))
         for name, c, x0 in frozen:
             if name not in include:
@@ -536,9 +537,8 @@ def _weight_terms(surface: LocalVolSurface, paths: dict, dW, T: float):
     S = np.ascontiguousarray(paths.pop("S")[:, :-1])
     Z = np.ascontiguousarray(paths.pop("Z"))
     Zl = Z[:, :-1]
-    a = surface.sigma(t, S)
+    a, nu, rho = surface.sigma(t, S, 2)
     a *= S
-    rho, nu = surface.dcoef_dxx(t, S), surface.dcoef_dx(t, S)
     R = np.zeros_like(Z)
     np.multiply(nu, rho, out=R[:, 1:])
     R[:, 1:] *= Zl

@@ -134,6 +134,17 @@ class TestOtherSurfaces:
         with pytest.raises(DomainError):
             s.sigma(0.5, 49.0)
 
+    def test_tabulated_rejects_negative_t_and_nonpositive_x(self):
+        # the grid's range check alone would pass both points
+        s = TabulatedVol(ts=[0.0, 1.0], xs=[50.0, 150.0], values=[[0.2, 0.3], [0.4, 0.5]])
+        low = TabulatedVol(ts=[0.0, 1.0], xs=[-50.0, 150.0], values=[[0.2, 0.3], [0.4, 0.5]])
+        for fn in (s.sigma, s.dcoef_dx, s.dcoef_dxx, lambda t, x: s.sigma(t, x, 2)):
+            with pytest.raises(DomainError, match="negative or non-finite t"):
+                fn(-1.0, 100.0)
+        for fn in (low.sigma, low.dcoef_dx, low.dcoef_dxx, lambda t, x: low.sigma(t, x, 2)):
+            with pytest.raises(DomainError, match="non-positive or non-finite x"):
+                fn(0.1, 0.0)
+
     def test_tabulated_constant_extrapolation_in_t(self):
         s = TabulatedVol(ts=[0.1, 1.0], xs=[50.0, 150.0], values=[[0.2, 0.3], [0.4, 0.5]])
         assert s.sigma(5.0, 50.0) == s.sigma(1.0, 50.0) == 0.4

@@ -389,6 +389,34 @@ class TestMcPrice:
         assert np.isfinite(b.processes["S"]).all()
         assert (b.processes["S"] > 0).all()
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bad_path_holds_its_last_valid_value(self, threads):
+        """Euler at sigma = 5: a step that leaves (0, inf) is replaced by the
+        path's last valid level, the path goes on from there and is counted
+        exploded; S and, at zero drift, X follow the same rule."""
+        cfg = SimConfig(steps=10, n_paths=2000, seed=5, scheme="euler", threads=threads)
+        b = simulate(ConstantVol(5.0), FLAT, 1.0, cfg)
+        S = np.empty((2000, 11))
+        S[:, 0] = 100.0
+        ever_bad = np.zeros(2000, dtype=bool)
+        for j in range(10):
+            S[:, j + 1] = S[:, j] * (1.0 + 5.0 * b.increments[:, j])
+            bad = ~(S[:, j + 1] > 0.0)
+            S[bad, j + 1] = S[bad, j]
+            ever_bad |= bad
+        for name in ("S", "X"):
+            assert b.processes[name].tobytes() == S.tobytes()
+        assert (b.exploded == ever_bad).all()
+        assert b.n_exploded == 1910
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_exploded_counts_are_pinned(self, threads):
+        # a few of 20 000 paths (three blocks) leave the domain: under 0.1%
+        cfg = SimConfig(steps=8, n_paths=20000, seed=5, scheme="euler", threads=threads)
+        assert simulate(ConstantVol(5.0), FLAT, 0.02, cfg).n_exploded == 4
+        est = mc_price(ConstantVol(5.0), FLAT, CALL, "asian", 0.02, cfg)
+        assert est.diagnostics["excluded"] == 4 and est.n_paths == 19996
+
 
 # ---------------------------------------------------------------------------
 # the controlled Asian price

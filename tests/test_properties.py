@@ -1,13 +1,16 @@
 """Property tests (hypothesis) for invariants of the engine, the quotes and
 the config round trips."""
 
+import itertools
 import math
 
 import numpy as np
+import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
 from asianvol._rng import BLOCK, normal_block
+from asianvol.errors import DomainError
 from asianvol.asymptotics import asian_vol, asym_delta, asym_price, european_vol
 from asianvol.model import (
     _PAYOFFS,
@@ -162,6 +165,59 @@ def test_surface_config_round_trip(surface):
     back = surface_from_config(cfg)
     assert type(back) is type(surface)
     assert repr(back.to_config()) == repr(cfg)
+
+
+# ---------------------------------------------------------------------------
+# the fused coefficient call
+# ---------------------------------------------------------------------------
+
+def _x_strategy(surface):
+    if isinstance(surface, TabulatedVol):
+        # no extrapolation in x; the difference stencils keep clear of the edges
+        margin = 2.0 * surface._fd_step
+        return st.floats(surface.xs[0] + margin, surface.xs[-1] - margin)
+    return st.floats(1e-3, 1e4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SURFACE_STRATEGIES)).flatmap(SURFACE_STRATEGIES.get), st.data())
+def test_fused_call_equals_the_separate_calls(surface, data):
+    """sigma(t, x, order) gives sigma, dcoef_dx and dcoef_dxx bit for bit, for
+    scalar and array (t, x) of the shapes the engine uses, in arrays that share
+    no memory with each other or the inputs; every entry point checks the
+    domain the same way."""
+    xs, ts = _x_strategy(surface), st.floats(0.0, 10.0)
+    B, steps = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+
+    def arr(elements, *shape):
+        n = math.prod(shape)
+        return np.array(data.draw(st.lists(elements, min_size=n, max_size=n))).reshape(shape)
+
+    t0, x0 = data.draw(ts), data.draw(xs)
+    cases = [(t0, x0), (t0, arr(xs, B)), (arr(ts, steps), x0), (arr(ts, steps), arr(xs, B, steps))]
+    for t, x in cases:
+        separate = [surface.sigma(t, x), surface.dcoef_dx(t, x), surface.dcoef_dxx(t, x)]
+        for order in (1, 2):
+            fused = surface.sigma(t, x, order)
+            assert len(fused) == order + 1
+            for f, s in zip(fused, separate):
+                assert type(f) is type(s)
+                assert np.asarray(f).tobytes() == np.asarray(s).tobytes()
+            arrays = [v for v in (*fused, t, x) if isinstance(v, np.ndarray)]
+            assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+
+    methods = (surface.sigma, surface.dcoef_dx, surface.dcoef_dxx,
+               lambda t, x: surface.sigma(t, x, 1), lambda t, x: surface.sigma(t, x, 2))
+    for fn in methods:
+        for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+            for x in (bad, np.array([x0, bad])):
+                with pytest.raises(DomainError):
+                    fn(t0, x)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                fn(bad, x0)
+        with pytest.raises(DomainError):
+            fn(-1.0, np.array([]))
 
 
 # ---------------------------------------------------------------------------
