@@ -19,8 +19,9 @@ per step (the fused sigma(t, x, 1) when the sensitivity is evolved): the
 level steps by Euler or log-Euler (selected in SimConfig), the sensitivity
 by Euler, so at zero drift the two pairs agree bit for bit.  The frozen
 processes have deterministic coefficients sigma(t_j, S0) and
-dcoef_dx(t_j, S0), from one call, and no step loop: Xt and Yt are cumulative products of their exact lognormal
-step factors, Xh and Yh cumulative sums of their Gaussian increments.
+dcoef_dx(t_j, S0), from one call, and no step loop: Xt and Yt are
+cumulative products of their exact lognormal step factors, Xh and Yh
+cumulative sums of their Gaussian increments.
 The kernel returns (paths, dW, exploded): one (B, steps+1) history per
 requested process, the (B, steps) increments, and the paths on which a
 process left its domain (non-finite, or a nonpositive level; S, Z, X and
