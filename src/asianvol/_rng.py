@@ -39,4 +39,6 @@ def normal_block(seed: int, n_steps: int, lo: int, hi: int) -> np.ndarray:
     raw >>= np.uint64(10)
     raw |= np.uint64(1)
     u = raw.view(np.int64) * 2.0**-54
+    # k = 2^53 - 1 rounds to 1.0; hold it at the largest double below 1
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
     return ndtri(u, out=u).reshape(hi - lo, n_steps)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .asymptotics import asian_vol, asym_delta, asym_price, european_vol, geometric_bs
 from .errors import ValidationError
@@ -244,8 +244,8 @@ def _bs_price(S0, K, r, q, sigma, T, family):
     d1 = (math.log(S0 / K) + (r - q) * T) / s + 0.5 * s
     d2 = d1 - s
     if family == "call":
-        return S0 * disc_q * norm.cdf(d1) - K * disc_r * norm.cdf(d2)
-    return K * disc_r * norm.cdf(-d2) - S0 * disc_q * norm.cdf(-d1)
+        return S0 * disc_q * ndtr(d1) - K * disc_r * ndtr(d2)
+    return K * disc_r * ndtr(-d2) - S0 * disc_q * ndtr(-d1)
 
 
 @dataclass

@@ -10,11 +10,11 @@ needs the first and second x-derivatives of the *diffusion coefficient*
 
     a(t, x) = sigma(t, x) * x,
 
-so every surface exposes those too (``dcoef_dx``, ``dcoef_dxx``),
-analytically where the family permits and by central differences for
-tabulated data.  ``sigma(t, x, order)`` is the fused entry point: with
-order 1 or 2 it returns sigma, a' and (for 2) a'' from one domain check
-and one family evaluation.
+so every surface exposes those too (``dcoef_dx``, ``dcoef_dxx``), in
+closed form for every family (the bilinear table is linear in x on each
+cell).  ``sigma(t, x, order)`` is the fused entry point: with order 1 or
+2 it returns sigma, a' and (for 2) a'' from one domain check and one
+family evaluation.
 
 Four surface families are supported:
 
@@ -120,10 +120,11 @@ class LocalVolSurface:
 
     family: str = "abstract"
 
-    # subclasses must implement _sigma on float arrays: x of the result's
-    # shape, t 0-d or of x's shape
-    def _sigma(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    # a family implements two methods on float arrays (x of the result's
+    # shape, t 0-d or of x's shape): _sigma(t, x), the hot order-0 path, and
+    # _coefs(t, x, order), the tuple (sigma, a', a'')[:order + 1] for order 1
+    # or 2 in closed form, building a'' only for order 2, in arrays that
+    # share no memory
 
     def sigma(self, t, x, order: int = 0):
         if order == 0:
@@ -131,41 +132,10 @@ class LocalVolSurface:
         return _evaluate(lambda t, x: self._coefs(t, x, order), t, x)
 
     def dcoef_dx(self, t, x):
-        return _evaluate(self._dcoef_dx, t, x)
+        return _evaluate(lambda t, x: self._coefs(t, x, 1)[1], t, x)
 
     def dcoef_dxx(self, t, x):
-        return _evaluate(self._dcoef_dxx, t, x)
-
-    def _coefs(self, t, x, order: int) -> tuple:
-        """(sigma, a', a'')[:order + 1] on (t, x) as _evaluate passes them."""
-        return tuple(f(t, x) for f in (self._sigma, self._dcoef_dx, self._dcoef_dxx)[:order + 1])
-
-    # default derivative implementation: central differences on a = sigma*x
-    _fd_step: Optional[float] = None
-
-    def _step(self, x: np.ndarray) -> np.ndarray:
-        if self._fd_step is not None:
-            return np.full_like(x, self._fd_step)
-        return np.maximum(1e-5 * np.abs(x), 1e-8)
-
-    def _coef(self, t, x):
-        return self._sigma(t, x) * x
-
-    def _dcoef_dx(self, t, x):
-        h = self._step(x)
-        xc = self._center_for_stencil(x, h)
-        return (self._coef(t, xc + h) - self._coef(t, xc - h)) / (2.0 * h)
-
-    def _dcoef_dxx(self, t, x):
-        h = self._step(x)
-        xc = self._center_for_stencil(x, h)
-        return (
-            self._coef(t, xc + h) - 2.0 * self._coef(t, xc) + self._coef(t, xc - h)
-        ) / (h * h)
-
-    def _center_for_stencil(self, x, h):
-        """Hook for bounded-domain surfaces to keep the stencil inside."""
-        return x
+        return _evaluate(lambda t, x: self._coefs(t, x, 2)[2], t, x)
 
     # metadata ------------------------------------------------------------
 
@@ -198,11 +168,9 @@ class ConstantVol(LocalVolSurface):
     def _sigma(self, t, x):
         return np.full_like(x, self.level)
 
-    def _dcoef_dx(self, t, x):
-        return np.full_like(x, self.level)
-
-    def _dcoef_dxx(self, t, x):
-        return np.zeros_like(x)
+    def _coefs(self, t, x, order):
+        sig = self._sigma(t, x)  # a = sigma*x is linear in x
+        return (sig, sig.copy()) if order == 1 else (sig, sig.copy(), np.zeros_like(x))
 
     def to_config(self):
         # stored as ``level``: ``sigma`` is the evaluation method
@@ -229,11 +197,9 @@ class TimeScaledVol(LocalVolSurface):
             self.c0 + self.c1 * t + self.c2 * np.sqrt(t), x.shape
         ).copy()
 
-    def _dcoef_dx(self, t, x):
-        return self._sigma(t, x)
-
-    def _dcoef_dxx(self, t, x):
-        return np.zeros_like(x)
+    def _coefs(self, t, x, order):
+        sig = self._sigma(t, x)  # a = sigma*x is linear in x
+        return (sig, sig.copy()) if order == 1 else (sig, sig.copy(), np.zeros_like(x))
 
     @property
     def is_time_dependent(self):
@@ -295,20 +261,15 @@ class CappedPowerVol(LocalVolSurface):
         d2 /= x
         return out + (d2,)
 
-    def _dcoef_dx(self, t, x):
-        return self._coefs(t, x, 1)[1]
-
-    def _dcoef_dxx(self, t, x):
-        return self._coefs(t, x, 2)[2]
-
 
 class TabulatedVol(LocalVolSurface):
     """Bilinear interpolation of sigma on a rectangular (t, x) grid.
 
     Evaluation at x outside the grid raises :class:`DomainError`; in t the
     surface extrapolates as a constant beyond the first/last time node.
-    Derivatives use central differences with step = (smallest x spacing)/10,
-    shifting the stencil inward near the grid edges.
+    sigma is linear in x on each cell, with slope beta, so a' = sigma + beta*x
+    and a'' = 2*beta hold exactly on the cell the point falls in (the
+    right-hand cell at an interior node, the edge cell at a grid edge).
     """
 
     family = "tabulated-grid"
@@ -329,7 +290,6 @@ class TabulatedVol(LocalVolSurface):
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
             raise ValidationError("tabulated sigma values must be finite and positive")
         self.ts, self.xs, self.values = ts, xs, vals
-        self._fd_step = float(np.min(np.diff(xs))) / 10.0
 
     def _locate(self, grid, v):
         idx = np.clip(np.searchsorted(grid, v, side="right") - 1, 0, len(grid) - 2)
@@ -338,6 +298,9 @@ class TabulatedVol(LocalVolSurface):
         return idx, w
 
     def _sigma(self, t, x):
+        return self._coefs(t, x, 0)[0]
+
+    def _coefs(self, t, x, order):
         if np.any(x < self.xs[0]) or np.any(x > self.xs[-1]):
             raise DomainError(
                 f"x outside tabulated range [{self.xs[0]}, {self.xs[-1]}]"
@@ -349,15 +312,17 @@ class TabulatedVol(LocalVolSurface):
         v01 = self.values[it, ix + 1]
         v10 = self.values[it + 1, ix]
         v11 = self.values[it + 1, ix + 1]
-        return (
+        sig = (
             v00 * (1 - wt) * (1 - wx)
             + v01 * (1 - wt) * wx
             + v10 * wt * (1 - wx)
             + v11 * wt * wx
         )
-
-    def _center_for_stencil(self, x, h):
-        return np.clip(x, self.xs[0] + h, self.xs[-1] - h)
+        if order == 0:
+            return (sig,)
+        beta = ((1 - wt) * (v01 - v00) + wt * (v11 - v10)) / (self.xs[ix + 1] - self.xs[ix])
+        out = (sig, sig + beta * x)
+        return out if order == 1 else out + (2.0 * beta,)
 
     @property
     def is_time_dependent(self):

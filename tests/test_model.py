@@ -175,13 +175,60 @@ class TestOtherSurfaces:
 
     def test_tabulated_derivatives_on_linear_data(self):
         # sigma linear in x makes bilinear interpolation exact, so the
-        # finite-difference derivatives of a = sigma*x have known values:
+        # derivatives of a = sigma*x have known values:
         # a = (0.2 + 0.001*(x-100))*x, a' = 0.002*x + 0.1, a'' = 0.002
         xs = np.linspace(50.0, 150.0, 11)
         vals = np.tile(0.2 + 0.001 * (xs - 100.0), (2, 1))
         s = TabulatedVol(ts=[0.0, 1.0], xs=xs, values=vals)
         assert np.isclose(s.dcoef_dx(0.3, 90.0), 0.002 * 90.0 + 0.1, rtol=1e-10)
         assert np.isclose(s.dcoef_dxx(0.3, 90.0), 0.002, rtol=1e-6)
+
+    # sigma curved in x and varying in t, so neighbouring cells have different
+    # slopes and a point on an interior node tells the right-hand cell from the left
+    CURVED = TabulatedVol(
+        ts=[0.0, 0.5, 1.0], xs=[50.0, 80.0, 100.0, 130.0, 200.0],
+        values=[[0.40, 0.30, 0.25, 0.22, 0.20],
+                [0.45, 0.32, 0.28, 0.21, 0.18],
+                [0.50, 0.36, 0.30, 0.27, 0.19]],
+    )
+
+    @staticmethod
+    def _cell_closed_form(s, t, x):
+        """(sigma, a', a'') from the cell [xs[i], xs[i+1]] with xs[i] <= x,
+        the last cell at the right edge: sigma = row[i] + beta*(x - xs[i])
+        with row the values interpolated linearly in t."""
+        tc = min(max(t, s.ts[0]), s.ts[-1])
+        j = min(int(np.searchsorted(s.ts, tc, side="right")) - 1, len(s.ts) - 2)
+        w = (tc - s.ts[j]) / (s.ts[j + 1] - s.ts[j])
+        row = (1 - w) * s.values[j] + w * s.values[j + 1]
+        i = min(int(np.searchsorted(s.xs, x, side="right")) - 1, len(s.xs) - 2)
+        beta = (row[i + 1] - row[i]) / (s.xs[i + 1] - s.xs[i])
+        sig = row[i] + beta * (x - s.xs[i])
+        return sig, sig + beta * x, 2.0 * beta
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.5, 2.0])
+    @pytest.mark.parametrize("x", [50.0, 64.5, 100.0, 130.0, 171.0, 200.0],
+                             ids=["left-edge", "cell", "node", "node2", "last-cell", "right-edge"])
+    def test_tabulated_derivatives_are_the_cell_closed_form(self, t, x):
+        s = self.CURVED
+        want = self._cell_closed_form(s, t, x)
+        got = (s.sigma(t, x), s.dcoef_dx(t, x), s.dcoef_dxx(t, x))
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert s.sigma(t, x, 2) == got
+        arr = s.sigma(np.full(3, t), np.full(3, x), 2)
+        assert all(np.array_equal(a, np.full(3, g)) for a, g in zip(arr, got))
+
+    def test_tabulated_derivatives_at_the_grid_edges(self):
+        # sigma is defined on the closed grid, and so are a' and a''
+        s = TabulatedVol([0, 1], [1.0, 1.25], [[1, 1], [1, 1]])
+        for x in (1.0, 1.25):
+            assert s.sigma(0.0, x) == 1.0
+            assert s.dcoef_dx(0.0, x) == 1.0
+            assert s.dcoef_dxx(0.0, x) == 0.0
+            assert s.sigma(0.0, x, 2) == (1.0, 1.0, 0.0)
+        edges = np.array([1.0, 1.25])
+        for got, want in zip(s.sigma(0.5, edges, 2), (1.0, 1.0, 0.0)):
+            assert np.array_equal(got, np.full(2, want))
 
     def test_tabulated_validation(self):
         with pytest.raises(ValidationError):

@@ -33,6 +33,7 @@ from asianvol.montecarlo import (
     mc_price,
     simulate,
 )
+from asianvol import _rng
 from asianvol._rng import BLOCK, normal_block
 from asianvol.asymptotics import geometric_bs
 
@@ -94,6 +95,23 @@ class TestDriver:
         ref = ndtri(u).reshape(hi - lo, n_steps)
         got = normal_block(2024, n_steps, lo, hi)
         assert got.tobytes() == ref.tobytes()
+
+    def test_top_word_gives_a_finite_normal(self, monkeypatch):
+        # a word whose top 53 bits are all ones would round to u = 1.0;
+        # a stand-in generator feeds such words, and the lowest, to the conversion
+        words = np.array([2**64 - 1, 2**64 - 2**11, 0], dtype=np.uint64)
+
+        class Fixed:
+            def __init__(self, bit_generator):
+                pass
+
+            def integers(self, low, high, size, dtype, endpoint):
+                return np.resize(words, size)
+
+        monkeypatch.setattr(_rng, "Generator", Fixed)
+        z = normal_block(seed=0, n_steps=3, lo=0, hi=1)[0]
+        assert np.isfinite(z).all()
+        assert z[0] == z[1] == ndtri(1.0 - 2.0**-53) and z[2] == ndtri(2.0**-54)
 
     def test_returns_a_fresh_writable_array(self):
         a = normal_block(5, 4, 3, 9)
