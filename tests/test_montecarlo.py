@@ -1,8 +1,10 @@
 """Tests for the path engine and Monte Carlo estimators."""
 
 import math
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -53,6 +55,13 @@ def bs_call_delta(S0, K, r, q, sigma, T):
     return math.exp(-q * T) * norm.cdf(d1)
 
 
+@pytest.fixture
+def cold_store(monkeypatch):
+    """normal_block with nothing kept; the kept blocks are restored afterwards."""
+    monkeypatch.setattr(_rng, "_stream", None)
+    monkeypatch.setattr(_rng, "_kept", {})
+
+
 # ---------------------------------------------------------------------------
 # the Brownian driver
 # ---------------------------------------------------------------------------
@@ -96,7 +105,7 @@ class TestDriver:
         got = normal_block(2024, n_steps, lo, hi)
         assert got.tobytes() == ref.tobytes()
 
-    def test_top_word_gives_a_finite_normal(self, monkeypatch):
+    def test_top_word_gives_a_finite_normal(self, monkeypatch, cold_store):
         # a word whose top 53 bits are all ones would round to u = 1.0;
         # a stand-in generator feeds such words, and the lowest, to the conversion
         words = np.array([2**64 - 1, 2**64 - 2**11, 0], dtype=np.uint64)
@@ -120,6 +129,119 @@ class TestDriver:
         ref = b.copy()
         a *= 0.1  # a caller scaling its draws in place leaves other draws alone
         assert b.tobytes() == ref.tobytes()
+
+
+@pytest.mark.usefixtures("cold_store")
+class TestKeptBlocks:
+    """Re-draws of the current (seed, n_steps) stream are served from memory."""
+
+    @staticmethod
+    def counted_draws(monkeypatch):
+        calls = []
+        draw = _rng._draw
+
+        def counting(*args):
+            calls.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(_rng, "_draw", counting)
+        return calls
+
+    def test_kept_block_equals_a_cold_draw(self, monkeypatch):
+        cold = _rng._draw(11, 40, 0, BLOCK)
+        calls = self.counted_draws(monkeypatch)
+        first = normal_block(11, 40, 0, BLOCK)
+        again = normal_block(11, 40, 0, BLOCK)
+        assert calls == [(11, 40, 0, BLOCK)]  # the second request drew nothing
+        assert again.tobytes() == first.tobytes() == cold.tobytes()
+        assert again.flags.writeable and again.flags.c_contiguous
+        assert not np.shares_memory(again, _rng._kept[(0, BLOCK)])
+
+    def test_mutating_a_returned_block_never_reaches_a_later_hit(self):
+        ref = _rng._draw(12, 16, 5, 300)
+        drawn = normal_block(12, 16, 5, 300)
+        drawn *= 0.0
+        served = normal_block(12, 16, 5, 300)
+        served[:] = np.nan
+        assert normal_block(12, 16, 5, 300).tobytes() == ref.tobytes()
+        with pytest.raises(ValueError):
+            _rng._kept[(5, 300)][0, 0] = 1.0  # the kept block itself is read-only
+
+    @pytest.mark.parametrize("other", [(14, 16), (13, 17)])
+    def test_another_stream_drops_the_kept_blocks(self, monkeypatch, other):
+        normal_block(13, 16, 0, 100)
+        normal_block(13, 16, 100, 200)
+        assert _rng._stream == (13, 16) and set(_rng._kept) == {(0, 100), (100, 200)}
+        normal_block(*other, 0, 10)
+        assert _rng._stream == other and set(_rng._kept) == {(0, 10)}
+        calls = self.counted_draws(monkeypatch)
+        back = normal_block(13, 16, 0, 100)  # drawn again, not served
+        assert calls == [(13, 16, 0, 100)]
+        assert back.tobytes() == _rng._draw(13, 16, 0, 100).tobytes()
+
+    def test_kept_bytes_stay_within_the_bound(self):
+        assert _rng.KEEP_BYTES == 4 * 2**20
+
+        def kept_bytes():
+            return sum(a.nbytes for a in _rng._kept.values())
+
+        normal_block(15, 100, 0, BLOCK)  # 6.25 MiB on its own: never kept
+        assert _rng._kept == {}
+        normal_block(16, 50, 0, BLOCK)  # 3.125 MiB
+        normal_block(16, 50, BLOCK, 2 * BLOCK)  # would make 6.25 MiB
+        normal_block(16, 50, 2 * BLOCK, 2 * BLOCK + 2000)  # 0.76 MiB more fits
+        normal_block(16, 50, 3 * BLOCK, 3 * BLOCK + 2000)  # would pass the bound
+        assert set(_rng._kept) == {(0, BLOCK), (2 * BLOCK, 2 * BLOCK + 2000)}
+        assert kept_bytes() <= _rng.KEEP_BYTES
+        normal_block(17, 64, 0, BLOCK)  # a full block at 64 steps fits exactly
+        assert set(_rng._kept) == {(0, BLOCK)} and kept_bytes() == _rng.KEEP_BYTES
+        normal_block(17, 64, BLOCK, BLOCK + 1)
+        assert set(_rng._kept) == {(0, BLOCK)}
+
+    def test_pool_threads_drawing_one_stream_get_identical_arrays(self):
+        ranges = [(lo, min(lo + 1000, 4500)) for lo in range(0, 4500, 1000)] * 6
+        ref = {r: _rng._draw(18, 32, *r) for r in set(ranges)}
+        with ThreadPoolExecutor(max_workers=2) as ex:
+            got = list(ex.map(lambda r: normal_block(18, 32, *r), ranges))
+        for r, z in zip(ranges, got):
+            assert z.tobytes() == ref[r].tobytes()
+        assert len({id(z) for z in got}) == len(got)
+        assert not any(np.shares_memory(a, b) for a, b in zip(got, got[1:]))
+        assert set(_rng._kept) == set(ref)
+
+    def test_two_streams_under_contention_serve_only_their_own_draws(self):
+        # more workers than cores and a short switch interval, so requests of
+        # two streams interleave between the store's lookups and its stores
+        ranges = [(lo, lo + 300) for lo in range(0, 1500, 300)]
+        jobs = [(seed, r) for r in ranges for seed in (21, 22)] * 8
+        ref = {(seed, r): _rng._draw(seed, 16, *r) for seed, r in set(jobs)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as ex:
+                futures = [ex.submit(normal_block, seed, 16, *r) for seed, r in jobs]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for job, z in zip(jobs, got):
+            assert z.tobytes() == ref[job].tobytes()
+        seed = _rng._stream[0]
+        for r, z in _rng._kept.items():  # what is kept belongs to the current stream
+            assert z.tobytes() == ref[(seed, r)].tobytes()
+
+    def test_a_block_drawn_while_the_stream_changed_is_not_kept(self, monkeypatch):
+        draw = _rng._draw
+
+        def racing(seed, n_steps, lo, hi):
+            if seed == 19:  # another thread moves to a new stream mid-draw
+                normal_block(20, 8, 0, 5)
+            return draw(seed, n_steps, lo, hi)
+
+        monkeypatch.setattr(_rng, "_draw", racing)
+        z = normal_block(19, 8, 0, 10)
+        assert z.tobytes() == draw(19, 8, 0, 10).tobytes()
+        assert _rng._stream == (20, 8) and set(_rng._kept) == {(0, 5)}
+        assert _rng._kept[(0, 5)].tobytes() == draw(20, 8, 0, 5).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +846,24 @@ class TestBlockMemory:
             tracemalloc.stop()
         arrays = peak / (8 * BLOCK * self.CFG.steps)
         assert arrays <= limit, f"{name}: peak of {arrays:.2f} (B, steps) arrays"
+
+    @pytest.mark.parametrize("name", ["price", "delta-fd"])
+    def test_a_kept_block_costs_one_array(self, name, cold_store):
+        # a full block at 64 steps fits KEEP_BYTES, so one copy is kept: the
+        # bound is the 200-step working arrays plus that copy, with the same
+        # slack of 20 per-path vectors, each 1/64 of an array here
+        run, limit = self.RUNS[name]
+        cfg = replace(self.CFG, steps=64)
+        tracemalloc.start()
+        try:
+            run(self.PARAMS, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _rng._stream == (cfg.seed, 64) and set(_rng._kept) == {(0, BLOCK)}
+        arrays = peak / (8 * BLOCK * cfg.steps)
+        bound = (limit - 0.1) + 1 + 20 / 64
+        assert arrays <= bound, f"{name}: peak of {arrays:.2f} (B, steps) arrays"
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from asianvol import _rng
 from asianvol._rng import BLOCK, normal_block
+from asianvol.approxlab import lp_distance_curve
 from asianvol.errors import DomainError
 from asianvol.asymptotics import asian_vol, asym_delta, asym_price, european_vol
 from asianvol.model import (
@@ -17,13 +19,14 @@ from asianvol.model import (
     _SURFACES,
     CappedPowerVol,
     ConstantVol,
+    MarketParams,
     PayoffSpec,
     TabulatedVol,
     TimeScaledVol,
     payoff_from_config,
     surface_from_config,
 )
-from asianvol.montecarlo import SimConfig, _reduce
+from asianvol.montecarlo import SimConfig, _reduce, mc_delta_fd, mc_delta_malliavin
 
 
 @settings(max_examples=30, deadline=None)
@@ -75,6 +78,40 @@ def test_normal_block_is_partition_invariant(n, n_steps, seed, data):
     parts = [normal_block(seed, n_steps, lo, hi) for lo, hi in zip(edges, edges[1:])]
     assert whole.shape == (n, n_steps) and np.isfinite(whole).all()
     assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    steps=st.integers(2, 80),
+    n_paths=st.integers(1, BLOCK + 600),
+    seed=st.integers(0, 2**64 - 2),
+    threads=st.sampled_from([1, 2]),
+    pair=st.sampled_from([("S", "X"), ("X", "Xt"), ("Y", "Yt")]),
+)
+def test_estimates_do_not_depend_on_the_kept_blocks(steps, n_paths, seed, threads, pair):
+    """Estimates are the same bytes with nothing kept, with the blocks of
+    their own stream kept, and with another stream's blocks kept."""
+    skew = CappedPowerVol(sref=0.2, xref=100.0, exponent=0.3, floor=0.05, cap=1.0)
+    params = MarketParams(S0=100.0, r=0.03, q=0.01)
+    call = PayoffSpec("call", strike=100.0)
+    cfg = SimConfig(steps=steps, n_paths=n_paths, seed=seed, threads=threads)
+
+    def curve():
+        c = lp_distance_curve(skew, params, pair, 2.0, [0.01, 0.05, 0.2], cfg)
+        return c.moments.tolist(), c.std_errors.tolist()
+
+    for run in (
+        lambda: mc_delta_fd(skew, params, call, "asian", 0.1, cfg),
+        lambda: mc_delta_malliavin(skew, params, call, "asian", 0.1, cfg),
+        curve,
+    ):
+        _rng._stream, _rng._kept = None, {}
+        cold = repr(run())
+        assert _rng._stream == (seed, steps)
+        warm = repr(run())  # the cold run left its own stream's blocks kept
+        normal_block(seed + 1, steps, 0, min(n_paths, BLOCK))
+        other = repr(run())
+        assert cold == warm == other
 
 
 @settings(max_examples=100, deadline=None)
