@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_VOL_TOL = 1e-11  # relative accuracy of the averaged-vol and vol-matching integrals
+_QUAD_TOL = 1e-10  # agreement of successive levels in gaussian_expectation
 
 
 def _phi(z):
@@ -80,7 +82,7 @@ class VolQuote:
     est_error: float
 
 
-def _vol_integral(surface: LocalVolSurface, S0: float, T: float, weighted: bool, tol: float):
+def _vol_integral(surface: LocalVolSurface, S0: float, T: float, weighted: bool):
     if not T > 0.0:
         raise DomainError(f"averaged vol needs T > 0, got {T}")
     if weighted:
@@ -90,32 +92,32 @@ def _vol_integral(surface: LocalVolSurface, S0: float, T: float, weighted: bool,
         integrand = lambda t: surface.sigma(t, S0) ** 2
         scale = T
     # absolute tolerance declared relative to the integral's natural scale
-    epsabs = tol * max(scale * 0.04, 1e-300)
-    val, err, info = quad(integrand, 0.0, T, epsabs=epsabs, epsrel=tol, limit=200,
+    epsabs = _VOL_TOL * max(scale * 0.04, 1e-300)
+    val, err, info = quad(integrand, 0.0, T, epsabs=epsabs, epsrel=_VOL_TOL, limit=200,
                           full_output=True)[:3]
-    if err > 100 * max(epsabs, tol * abs(val)):
+    if err > 100 * max(epsabs, _VOL_TOL * abs(val)):
         raise NumericError(
             f"averaged-vol quadrature did not converge: estimated error {err:.3e}"
         )
     return val, err, info["neval"]
 
 
-def asian_vol(surface: LocalVolSurface, S0: float, T: float, tol: float = 1e-11) -> float:
+def asian_vol(surface: LocalVolSurface, S0: float, T: float) -> float:
     """sqrt((1/T^3) Int_0^T sigma(t,S0)^2 (T-t)^2 dt) by adaptive quadrature."""
-    val, _, _ = _vol_integral(surface, S0, T, weighted=True, tol=tol)
+    val, _, _ = _vol_integral(surface, S0, T, weighted=True)
     return math.sqrt(val / T**3)
 
 
-def european_vol(surface: LocalVolSurface, S0: float, T: float, tol: float = 1e-11) -> float:
+def european_vol(surface: LocalVolSurface, S0: float, T: float) -> float:
     """sqrt((1/T) Int_0^T sigma(t,S0)^2 dt) by adaptive quadrature."""
-    val, _, _ = _vol_integral(surface, S0, T, weighted=False, tol=tol)
+    val, _, _ = _vol_integral(surface, S0, T, weighted=False)
     return math.sqrt(val / T)
 
 
-def vol_quote(surface: LocalVolSurface, S0: float, T: float, tol: float = 1e-11) -> VolQuote:
+def vol_quote(surface: LocalVolSurface, S0: float, T: float) -> VolQuote:
     """Both averaged vols at one maturity, with quadrature metadata."""
-    va, ea, na = _vol_integral(surface, S0, T, weighted=True, tol=tol)
-    ve, ee, ne = _vol_integral(surface, S0, T, weighted=False, tol=tol)
+    va, ea, na = _vol_integral(surface, S0, T, weighted=True)
+    ve, ee, ne = _vol_integral(surface, S0, T, weighted=False)
     return VolQuote(
         asian_vol=math.sqrt(va / T**3),
         european_vol=math.sqrt(ve / T),
@@ -187,21 +189,17 @@ def _panel_quad(f, edges: Sequence[float], m: int):
     return total, nodes
 
 
-def gaussian_expectation(
-    f: Callable,
-    kinks: Sequence[float] = (),
-    tol: float = 1e-10,
-) -> tuple:
+def gaussian_expectation(f: Callable, kinks: Sequence[float] = ()) -> tuple:
     """E[f(Z)] for standard normal Z, returning (value, QuadratureInfo).
 
     ``f`` must accept numpy arrays.  ``kinks`` lists the z-locations where f
     or its derivatives jump; with no kinks a Gauss-Hermite rule (128 nodes,
-    doubled until two successive levels agree to ``tol``) is used.  With
+    doubled until two successive levels agree to 1e-10) is used.  With
     kinks the integral is truncated to +-8 standard deviations (the
     truncation error is estimated and reported, assuming at most linear
     growth), split at the kinks, and integrated by composite Gauss-Legendre
     panels graded geometrically toward each kink; the panel order is
-    doubled until two successive levels agree to ``tol``.
+    doubled until two successive levels agree to 1e-10.
     """
     interior = sorted(k for k in kinks if -_Z_MAX < k < _Z_MAX)
 
@@ -213,12 +211,12 @@ def gaussian_expectation(
             val = float(np.dot(w, np.asarray(f(z), dtype=float)))
             if prev is not None:
                 change = abs(val - prev)
-                if change <= max(tol, tol * abs(val)):
+                if change <= max(_QUAD_TOL, _QUAD_TOL * abs(val)):
                     return val, QuadratureInfo("gauss-hermite", n, change, 0.0)
             prev = val
             n *= 2
         raise NumericError(
-            f"Gauss-Hermite quadrature did not reach tol={tol:g} by 2048 nodes"
+            f"Gauss-Hermite quadrature did not reach tol={_QUAD_TOL:g} by 2048 nodes"
         )
 
     # tail bound: |f(z)| <= |f(+-8)| + slope * |z -+ 8| beyond the window
@@ -241,12 +239,12 @@ def gaussian_expectation(
         val, nodes = _panel_quad(f, edges, m)
         if prev is not None:
             change = abs(val - prev)
-            if change <= max(tol, tol * abs(val)):
+            if change <= max(_QUAD_TOL, _QUAD_TOL * abs(val)):
                 return val, QuadratureInfo("kink-split", nodes, change, trunc)
         prev = val
         m *= 2
     raise NumericError(
-        f"kink-split quadrature did not reach tol={tol:g} by order-128 panels"
+        f"kink-split quadrature did not reach tol={_QUAD_TOL:g} by order-128 panels"
     )
 
 
@@ -287,7 +285,7 @@ _EXACT = {
 }
 
 
-def _quote(kind, payoff, S0, vol, T, tol, style, force_quadrature) -> AsymptoticQuote:
+def _quote(kind, payoff, S0, vol, T, style, force_quadrature) -> AsymptoticQuote:
     """The leading-order price or delta: a closed form from _EXACT, else quadrature."""
     if not S0 > 0.0:
         raise DomainError(f"S0 must be positive, got {S0}")
@@ -308,7 +306,7 @@ def _quote(kind, payoff, S0, vol, T, tol, style, force_quadrature) -> Asymptotic
         base = payoff.value(S0)
         f = lambda z: (payoff.value(S0 + s * z) - base) * z / s
     kinks = tuple((k - S0) / s for k in payoff.kinks())
-    val, info = gaussian_expectation(f, kinks=kinks, tol=tol)
+    val, info = gaussian_expectation(f, kinks=kinks)
     return AsymptoticQuote(val, kind, style, order, inputs, info)
 
 
@@ -317,7 +315,6 @@ def asym_price(
     S0: float,
     vol: float,
     T: float,
-    tol: float = 1e-10,
     style: str = "asian",
     force_quadrature: bool = False,
 ) -> AsymptoticQuote:
@@ -328,7 +325,7 @@ def asym_price(
     are exact; everything else is quadrature (``force_quadrature`` routes
     even call/put through the quadrature engine, used for cross-checks).
     """
-    return _quote("price", payoff, S0, vol, T, tol, style, force_quadrature)
+    return _quote("price", payoff, S0, vol, T, style, force_quadrature)
 
 
 def asym_delta(
@@ -336,7 +333,6 @@ def asym_delta(
     S0: float,
     vol: float,
     T: float,
-    tol: float = 1e-10,
     style: str = "asian",
     force_quadrature: bool = False,
 ) -> AsymptoticQuote:
@@ -346,7 +342,7 @@ def asym_delta(
     O(1) as T -> 0 for payoffs differentiable at S0 instead of oscillating
     at scale 1/s.  Calls have the closed form N(d), puts -N(-d).
     """
-    return _quote("delta", payoff, S0, vol, T, tol, style, force_quadrature)
+    return _quote("delta", payoff, S0, vol, T, style, force_quadrature)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +430,6 @@ def match_volatility(
     s: float,
     curve_d1: Optional[Callable] = None,
     curve_d2: Optional[Callable] = None,
-    tol: float = 1e-11,
 ) -> float:
     """Convert between term European vol and term Asian vol at maturity s.
 
@@ -453,8 +448,8 @@ def match_volatility(
         raise DomainError(f"maturity must be positive, got {s}")
     if direction == "implied-to-tau":
         integrand = lambda u: float(curve(u)) ** 2 * (u * s - u * u)
-        val, err = quad(integrand, 0.0, s, epsabs=tol * s**3, epsrel=tol, limit=200)
-        if err > 100 * max(tol * s**3, tol * abs(val)):
+        val, err = quad(integrand, 0.0, s, epsabs=_VOL_TOL * s**3, epsrel=_VOL_TOL, limit=200)
+        if err > 100 * max(_VOL_TOL * s**3, _VOL_TOL * abs(val)):
             raise NumericError(
                 f"vol-matching quadrature did not converge: error {err:.3e}"
             )

@@ -95,7 +95,6 @@ _BASE_DEFAULTS = {
         "n_paths": 100000,
         "seed": 1,
         "scheme": "log-euler",
-        "malliavin_budget": 1.0e12,
     },
     "output": {"dir": "out"},
 }
@@ -281,7 +280,6 @@ def _objects(cfg: dict, threads: int):
         seed=mc["seed"],
         scheme=mc["scheme"],
         threads=threads,
-        malliavin_budget=mc["malliavin_budget"],
     )
     return surface, market, payoff, sim
 
@@ -927,7 +925,7 @@ def _crit_10(c, threads):
         for sub in c["subjects"]:
             name, command = str(sub["name"]), str(sub["command"])
             cfg_path = Path(td) / f"{name}.yaml"
-            cfg_path.write_text(yaml.safe_dump(sub["config"], sort_keys=True))
+            cfg_path.write_text(yaml.safe_dump(_plain(sub["config"]), sort_keys=True))
             digests = []
             for tag, thr in runs:
                 outdir = Path(td) / name / tag
@@ -970,6 +968,23 @@ _CRITERIA = {
 }
 
 
+class _CriterionConfig(dict):
+    """A criterion config whose missing key, at any depth (lists included),
+    raises ValidationError naming the criterion and the key's path."""
+
+    def __init__(self, data: dict, criterion: int, path: str = ""):
+        self.criterion, self.path = criterion, path
+        super().__init__((k, self._nest(v, f"{path}{k}")) for k, v in data.items())
+
+    def _nest(self, v, path: str):
+        if isinstance(v, list):
+            return [self._nest(x, f"{path}[{i}]") for i, x in enumerate(v)]
+        return _CriterionConfig(v, self.criterion, path + ".") if isinstance(v, dict) else v
+
+    def __missing__(self, key):
+        raise ValidationError(f"criterion {self.criterion} config has no key '{self.path}{key}'")
+
+
 def run_criterion(criterion: int, config_path, threads: int = 1):
     """Run one acceptance criterion from its config file.
 
@@ -984,7 +999,7 @@ def run_criterion(criterion: int, config_path, threads: int = 1):
     if not isinstance(cfg, dict):
         raise ValidationError(f"criterion config must be a mapping: {path}")
     fn, _ = _CRITERIA[criterion]
-    return fn(cfg, threads)
+    return fn(_CriterionConfig(cfg, criterion), threads)
 
 
 def _default_configs_dir() -> Path:

@@ -262,11 +262,6 @@ class CompareTable:
     geo_enabled: bool
     reports: dict = field(default_factory=dict)
 
-    def errors(self, column: str) -> np.ndarray:
-        ref = {"matched": self.eur_matched, "unmatched": self.eur_unmatched,
-               "geo": self.geo, "asym": self.asym}[column]
-        return self.mc - ref
-
     def write_csv(self, fileobj) -> None:
         fileobj.write("T,mc,asym,err_matched,err_unmatched,err_geo,stderr\n")
         em = self.mc - self.eur_matched
@@ -279,7 +274,7 @@ class CompareTable:
 
 
 def compare_experiment(
-    surface,
+    surface: LocalVolSurface,
     params: MarketParams,
     payoff: PayoffSpec,
     T_grid: Sequence[float],
@@ -297,12 +292,7 @@ def compare_experiment(
     price at that vol.  All error columns share the single MC estimate
     per T, so their differences are not independently noisy, and a
     convergence report is fitted to each error column.
-
-    `surface` may be a LocalVolSurface or a plain vol number (treated as
-    constant volatility, which also enables the geometric column).
     """
-    if isinstance(surface, (int, float)):
-        surface = ConstantVol(float(surface))
     if payoff.family not in ("call", "put"):
         raise ValidationError(
             f"compare_experiment needs a call or put payoff, got '{payoff.family}'"

@@ -52,27 +52,27 @@ __all__ = [
     "problem_from_surface",
 ]
 
+# rate_function's augmented-Lagrangian schedule and convergence bounds
+_MAX_OUTER = 14
+_PENALTY0 = 10.0
+_PENALTY_FACTOR = 10.0
+_CONSTRAINT_TOL = 1e-8
+_EL_TOL = 1e-5
+
 
 @dataclass(frozen=True)
 class RateFunctionProblem:
     """Inputs of the variational problem: sigma(x), target x, start y.
 
     sigma must be a function of the level only (the decay theory requires
-    time-independent volatility).  Solver knobs: grid_n nodes for the
-    direct solver, penalty0/penalty_factor/max_outer for the augmented
-    Lagrangian, constraint_tol (relative) for the integral constraint,
-    el_tol for the stationarity residual.
+    time-independent volatility).  grid_n is the number of grid
+    intervals of the direct solver.
     """
 
     sigma: Callable[[float], float]
     x: float
     y: float
     grid_n: int = 200
-    max_outer: int = 14
-    penalty0: float = 10.0
-    penalty_factor: float = 10.0
-    constraint_tol: float = 1e-8
-    el_tol: float = 1e-5
 
     def __post_init__(self) -> None:
         if not (self.x > 0.0 and self.y > 0.0):
@@ -113,7 +113,7 @@ class RateFunctionResult:
 
 
 def problem_from_surface(
-    surface: LocalVolSurface, x: float, y: float, **options
+    surface: LocalVolSurface, x: float, y: float, grid_n: int = 200
 ) -> RateFunctionProblem:
     """Build a problem from a level-only volatility surface (t frozen at 0)."""
     if surface.is_time_dependent:
@@ -121,7 +121,7 @@ def problem_from_surface(
             "the rate function is defined for time-independent volatility only"
         )
     # surfaces broadcast over levels, which the direct solver exploits
-    return RateFunctionProblem(sigma=lambda lvl: surface.sigma(0.0, lvl), x=x, y=y, **options)
+    return RateFunctionProblem(sigma=lambda lvl: surface.sigma(0.0, lvl), x=x, y=y, grid_n=grid_n)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +209,9 @@ def rate_function(problem: RateFunctionProblem) -> RateFunctionResult:
         return log_y + (a - log_y) * t
 
     g = feasible_line()
-    lam, mu = 0.0, problem.penalty0
+    lam, mu = 0.0, _PENALTY0
     n_outer = 0
-    for n_outer in range(1, problem.max_outer + 1):
+    for n_outer in range(1, _MAX_OUTER + 1):
 
         def lagrangian(free: np.ndarray):
             gg = np.concatenate(([log_y], free))
@@ -232,9 +232,9 @@ def rate_function(problem: RateFunctionProblem) -> RateFunctionResult:
         g = np.concatenate(([log_y], res.x))
         c = constraint(g)
         lam += mu * c
-        if abs(c) <= problem.constraint_tol * x:
+        if abs(c) <= _CONSTRAINT_TOL * x:
             break
-        mu *= problem.penalty_factor
+        mu *= _PENALTY_FACTOR
 
     f, grad = objective_and_grad(g)
     gc = cw * np.exp(g)
@@ -247,7 +247,7 @@ def rate_function(problem: RateFunctionProblem) -> RateFunctionResult:
         constraint_residual=c_rel,
         el_residual=el,
         multiplier=lam,
-        converged=(c_rel <= problem.constraint_tol and el <= problem.el_tol),
+        converged=(c_rel <= _CONSTRAINT_TOL and el <= _EL_TOL),
         n_outer=n_outer,
     )
 

@@ -62,6 +62,7 @@ Memory per block per thread, at its traced peak in (B, steps) arrays:
 mc_price and mc_asian_price_cv 2 (increments, S history), mc_delta_fd 2
 (one leg at a time), mc_delta_malliavin 7 for either style (the weights
 pop S and Z from the kernel's paths and build their terms in place).
+A Malliavin block past _MAX_ELEMENTS values is refused before any draw.
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ __all__ = [
 
 PROCESS_NAMES = ("S", "X", "Y", "Z", "Xt", "Yt", "Xh", "Yh")
 _STYLES = ("asian", "european", "geometric")
+_MAX_ELEMENTS = 2e8  # float64 values one Malliavin block or one simulate run may hold
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,6 @@ class SimConfig:
     seed: int
     scheme: str = "log-euler"
     threads: int = 1
-    malliavin_budget: float = 1e12
 
     def __post_init__(self) -> None:
         if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 2):
@@ -314,7 +315,7 @@ def simulate(surface: LocalVolSurface, params: MarketParams, T: float, cfg: SimC
     if not T > 0.0:
         raise DomainError(f"T must be positive, got {T}")
     total = cfg.n_paths * (cfg.steps + 1) * len(PROCESS_NAMES)
-    if total > 2e8:
+    if total > _MAX_ELEMENTS:
         raise ValidationError(
             f"history of {total:.2g} elements is too large; use the estimators, "
             "which stream in blocks"
@@ -643,11 +644,9 @@ def mc_delta_malliavin(
         )
     if not T > 0.0:
         raise DomainError(f"T must be positive, got {T}")
-    if cfg.steps**2 * cfg.n_paths > cfg.malliavin_budget:
-        raise ValidationError(
-            f"steps^2 * n_paths = {cfg.steps**2 * cfg.n_paths:.3g} exceeds the "
-            f"malliavin budget {cfg.malliavin_budget:.3g}"
-        )
+    held = 7 * min(cfg.n_paths, BLOCK) * cfg.steps  # one block's peak, at any thread count
+    if held > _MAX_ELEMENTS:
+        raise ValidationError(f"a Malliavin block of {held:.3g} values is over {_MAX_ELEMENTS:g}")
     weights = _asian_weights if style == "asian" else _european_weights
 
     def block_fn(lo, hi):

@@ -79,8 +79,7 @@ class TestConfigResolution:
             (["price", "--experiment.method=asym", "--experiment.T=abc"], "'experiment.T'"),
             (["vols", "--experiment.n_t=abc"], "'experiment.n_t'"),
             (["vols", "--experiment.n_t=5.0"], "'experiment.n_t'"),
-            (["delta", "--experiment.method=malliavin", "--mc.malliavin_budget=1e9"],
-             "'mc.malliavin_budget'"),
+            (["price", "--experiment.method=asym", "--experiment.T=1e-1"], "'experiment.T'"),
             (["compare", "--experiment.t_grid=[0.1, abc]"], "'experiment.t_grid'"),
             (["ldp", "--experiment.oracle=abc"], "'experiment.oracle'"),
             (["price", "--experiment.method=asym", "--payoff.family=user-table",
@@ -201,6 +200,14 @@ class TestExitCodes:
         cfg["tol"] = 0.0
         (tmp_path / "c01.yaml").write_text(yaml.safe_dump(cfg))
         assert cli.main(["check", "1", "--configs-dir", str(tmp_path)]) == 3
+
+    def test_missing_criterion_key_exits_1(self, tmp_path, capsys):
+        cfg = yaml.safe_load((cli._default_configs_dir() / "c01.yaml").read_text())
+        del cfg["tol"]
+        (tmp_path / "c01.yaml").write_text(yaml.safe_dump(cfg))
+        assert cli.main(["check", "1", "--configs-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: criterion 1 config") and "'tol'" in err
 
     def test_help_exits_0(self):
         assert cli.main(["--help"]) == 0

@@ -126,7 +126,7 @@ class TestErrorStudy:
         _, rows = asymptotics_error_study(
             ConstantVol(0.2), FLAT, CALL, "asian", "price", grid, cfg, 1.0
         )
-        tab = compare_experiment(0.2, FLAT, CALL, grid, cfg)
+        tab = compare_experiment(ConstantVol(0.2), FLAT, CALL, grid, cfg)
         assert [r["mc"] for r in rows] == list(tab.mc)
         assert [r["std_error"] for r in rows] == list(tab.std_errors)
         assert all(r["diagnostics"]["vr_factor"] > 100.0 for r in rows)
@@ -154,12 +154,12 @@ class TestCompare:
 
     def test_payoff_family_restricted(self):
         with pytest.raises(ValidationError, match="call or put"):
-            compare_experiment(0.2, FLAT, PayoffSpec("linear", slope=1.0),
+            compare_experiment(ConstantVol(0.2), FLAT, PayoffSpec("linear", slope=1.0),
                                DEFAULT_T_GRID, SimConfig(10, 10, 0))
 
     def test_degenerate_zero_vol_all_columns_identical(self):
         itm = PayoffSpec("call", strike=90.0)
-        tab = compare_experiment(0.0, FLAT, itm, (0.2, 0.1, 0.05, 0.025),
+        tab = compare_experiment(ConstantVol(0.0), FLAT, itm, (0.2, 0.1, 0.05, 0.025),
                                  SimConfig(steps=20, n_paths=50, seed=0))
         for col in (tab.mc, tab.asym, tab.eur_matched, tab.eur_unmatched, tab.geo):
             assert np.allclose(col, 10.0, atol=1e-12)
@@ -198,8 +198,8 @@ class TestCompare:
         # the unmatched European misses at O(sqrt(T)); coarse paths suffice
         # to see the first-digit separation of the two error columns
         drifty = MarketParams(100.0, 0.05, 0.0)
-        tab = compare_experiment(0.3, drifty, CALL, (0.2, 0.1, 0.05, 0.025),
+        tab = compare_experiment(ConstantVol(0.3), drifty, CALL, (0.2, 0.1, 0.05, 0.025),
                                  SimConfig(steps=100, n_paths=20000, seed=11))
-        em = np.abs(tab.errors("matched"))
-        eu = np.abs(tab.errors("unmatched"))
+        em = np.abs(tab.mc - tab.eur_matched)
+        eu = np.abs(tab.mc - tab.eur_unmatched)
         assert np.all(em < 0.25 * eu)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from asianvol import ldp
 from asianvol.errors import DomainError, ValidationError
 from asianvol.ldp import (
     DecayReport,
@@ -145,8 +146,10 @@ class TestRateFunction:
         assert all(g > 0 for g in gaps), "direct values should bound the oracle from above"
         assert gaps[0] > gaps[1] > gaps[2]
 
-    def test_budget_exhaustion_reports_not_converged(self):
-        res = rate_function(bs_problem(120.0, max_outer=1, penalty0=1.0))
+    def test_budget_exhaustion_reports_not_converged(self, monkeypatch):
+        monkeypatch.setattr(ldp, "_MAX_OUTER", 1)
+        monkeypatch.setattr(ldp, "_PENALTY0", 1.0)
+        res = rate_function(bs_problem(120.0))
         assert not res.converged
         assert res.constraint_residual > 1e-8
 

@@ -35,7 +35,7 @@ from asianvol.montecarlo import (
     mc_price,
     simulate,
 )
-from asianvol import _rng
+from asianvol import _rng, montecarlo
 from asianvol._rng import BLOCK, normal_block
 from asianvol.asymptotics import geometric_bs
 
@@ -796,10 +796,48 @@ class TestMalliavinDelta:
         se_w = math.sqrt(diag["weight_var"] / n)
         assert abs(diag["weight_mean"]) < 5 * se_w
 
-    def test_budget_guard(self):
-        cfg = SimConfig(steps=1000, n_paths=10000, seed=0, malliavin_budget=1e9)
-        with pytest.raises(ValidationError, match="budget"):
+    @staticmethod
+    def refuse_draws(monkeypatch):
+        """Record every normal block the estimators ask for, and fail it."""
+        calls = []
+
+        def draw(*args):
+            calls.append(args)
+            raise RuntimeError("a normal block was drawn")
+
+        monkeypatch.setattr(montecarlo, "normal_block", draw)
+        return calls
+
+    def test_budget_guard(self, monkeypatch):
+        # one block would hold 7 x 8192 x 4000 = 2.3e8 values, over the 2e8 limit
+        calls = self.refuse_draws(monkeypatch)
+        cfg = SimConfig(steps=4000, n_paths=BLOCK, seed=0)
+        with pytest.raises(ValidationError, match="Malliavin block"):
             mc_delta_malliavin(SKEW, FLAT, CALL, "asian", 0.5, cfg)
+        assert calls == []
+
+    def test_guard_does_not_depend_on_threads(self, monkeypatch):
+        calls = self.refuse_draws(monkeypatch)
+        messages = []
+        for threads in (1, 8):
+            cfg = SimConfig(steps=4000, n_paths=BLOCK, seed=0, threads=threads)
+            with pytest.raises(ValidationError) as err:
+                mc_delta_malliavin(SKEW, FLAT, CALL, "asian", 0.5, cfg)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert calls == []
+        # 8 blocks of 7 x 8192 x 500 = 2.9e7 values each: under the limit per
+        # block, over it for 8 blocks at once; the run reaches its draws
+        for threads in (1, 8):
+            cfg = SimConfig(steps=500, n_paths=8 * BLOCK, seed=0, threads=threads)
+            with pytest.raises(RuntimeError, match="drawn"):
+                mc_delta_malliavin(SKEW, FLAT, CALL, "asian", 0.5, cfg)
+
+    def test_guard_passes_a_small_block(self):
+        # 7 x 100 x 4000 = 2.8e6 values: the step count alone is no reason to refuse
+        cfg = SimConfig(steps=4000, n_paths=100, seed=0)
+        est = mc_delta_malliavin(SKEW, FLAT, CALL, "asian", 0.5, cfg)
+        assert math.isfinite(est.mean) and est.n_paths == 100
 
     def test_geometric_style_rejected(self):
         with pytest.raises(ValidationError, match="geometric"):
