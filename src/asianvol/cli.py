@@ -1065,13 +1065,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_threads(arg) -> int:
-    if arg is not None:
-        return int(arg)
-    raw = os.environ.get("ASIANVOL_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"ASIANVOL_THREADS must be an integer, got '{raw}'")
+    if arg is None:
+        raw = os.environ.get("ASIANVOL_THREADS", "1")
+        try:
+            arg = int(raw)
+        except ValueError:
+            raise ValidationError(f"ASIANVOL_THREADS must be an integer, got '{raw}'")
+    if arg < 1:
+        raise ValidationError(f"threads must be a positive integer, got {arg}")
+    return arg
 
 
 def main(argv=None) -> int:

@@ -8,8 +8,12 @@ variational problem
                     g absolutely continuous, g(0) = log y,
                     Int_0^1 e^{g(t)} dt = x }
 
-(y the starting spot, x the target average).  Two independent solvers are
-provided:
+(y the starting spot, x the target average).  The problem holds a
+level-only `LocalVolSurface`; both solvers read the weight
+w(g) = sigma(e^g)^-2 and its derivative w'(g) = -2 sigma^-3 (a' - sigma)
+from one fused `surface.sigma(0, e^g, 1)` call, where a' = d(sigma x)/dx is
+the surface's closed-form coefficient derivative.  Two independent solvers
+are provided:
 
 * `rate_function` - the product: first-discretize-then-optimize.  g lives
   on a uniform grid, the objective uses forward-difference slopes with
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -62,25 +66,32 @@ _EL_TOL = 1e-5
 
 @dataclass(frozen=True)
 class RateFunctionProblem:
-    """Inputs of the variational problem: sigma(x), target x, start y.
+    """Inputs of the variational problem: the surface, target x, start y.
 
-    sigma must be a function of the level only (the decay theory requires
-    time-independent volatility).  grid_n is the number of grid
-    intervals of the direct solver.
+    surface must be a level-only `LocalVolSurface` (the decay theory
+    requires time-independent volatility); the solvers evaluate it at t = 0
+    and take w' from its a' rather than by differencing sigma.  grid_n is
+    the number of grid intervals of the direct solver.
     """
 
-    sigma: Callable[[float], float]
+    surface: LocalVolSurface
     x: float
     y: float
     grid_n: int = 200
 
     def __post_init__(self) -> None:
+        if not isinstance(self.surface, LocalVolSurface):
+            raise ValidationError(
+                f"surface must be a LocalVolSurface, got {type(self.surface).__name__}"
+            )
+        if self.surface.is_time_dependent:
+            raise ValidationError(
+                "the rate function is defined for time-independent volatility only"
+            )
         if not (self.x > 0.0 and self.y > 0.0):
             raise ValidationError(f"x and y must be positive, got x={self.x}, y={self.y}")
         if not (isinstance(self.grid_n, (int, np.integer)) and self.grid_n >= 2):
             raise ValidationError(f"grid_n must be an integer >= 2, got {self.grid_n}")
-        if not callable(self.sigma):
-            raise ValidationError("sigma must be callable")
 
 
 @dataclass
@@ -116,36 +127,19 @@ def problem_from_surface(
     surface: LocalVolSurface, x: float, y: float, grid_n: int = 200
 ) -> RateFunctionProblem:
     """Build a problem from a level-only volatility surface (t frozen at 0)."""
-    if surface.is_time_dependent:
-        raise ValidationError(
-            "the rate function is defined for time-independent volatility only"
-        )
-    # surfaces broadcast over levels, which the direct solver exploits
-    return RateFunctionProblem(sigma=lambda lvl: surface.sigma(0.0, lvl), x=x, y=y, grid_n=grid_n)
+    return RateFunctionProblem(surface=surface, x=x, y=y, grid_n=grid_n)
 
 
-# ---------------------------------------------------------------------------
-# sigma plumbing
-# ---------------------------------------------------------------------------
+def _weight(surface: LocalVolSurface, lvl):
+    """w = sigma^-2 and w' = d/dg sigma(e^g)^-2 at lvl = e^g (scalar or array).
 
-def _vectorized_sigma(sigma):
-    """Call sigma on arrays when it supports them, else element by element."""
-
-    def call(levels: np.ndarray) -> np.ndarray:
-        try:
-            out = np.asarray(sigma(levels), dtype=float)
-        except (TypeError, ValueError):
-            out = None
-        if out is not None and out.shape == levels.shape:
-            return out
-        return np.array([float(sigma(lvl)) for lvl in levels])
-
-    return call
-
-
-def _check_sigma_values(vals: np.ndarray) -> None:
-    if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
+    One fused call gives sigma and a' = d(sigma x)/dx, so
+    w' = -2 sigma^-3 x dsigma/dx = -2 sigma^-3 (a' - sigma).
+    """
+    s, ap = surface.sigma(0.0, lvl, 1)
+    if not np.all((s > 0.0) & (s < np.inf)):
         raise DomainError("sigma must be finite and positive on the visited range")
+    return s**-2.0, -2.0 * s**-3.0 * (ap - s)
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +157,8 @@ def rate_function(problem: RateFunctionProblem) -> RateFunctionResult:
     """
     n, h = problem.grid_n, 1.0 / problem.grid_n
     x, y = problem.x, problem.y
-    sig = _vectorized_sigma(problem.sigma)
     log_y = math.log(y)
     t = np.linspace(0.0, 1.0, n + 1)
-
-    def w_and_deriv(g: np.ndarray):
-        lvl = np.exp(g)
-        s = sig(lvl)
-        _check_sigma_values(s)
-        eps = 1e-6
-        ds = (sig(lvl * (1.0 + eps)) - sig(lvl * (1.0 - eps))) / (2.0 * eps * lvl)
-        w = s**-2.0
-        wp = -2.0 * s**-3.0 * ds * lvl  # d/dg of sigma(e^g)^-2
-        return w, wp
 
     # trapezoid weights of the constraint integral
     cw = np.full(n + 1, h)
@@ -185,7 +168,7 @@ def rate_function(problem: RateFunctionProblem) -> RateFunctionResult:
         return float(cw @ np.exp(g)) - x
 
     def objective_and_grad(g: np.ndarray):
-        w, wp = w_and_deriv(g)
+        w, wp = _weight(problem.surface, np.exp(g))
         d = np.diff(g) / h
         m = 0.5 * (w[:-1] + w[1:])
         f = 0.5 * h * float(d**2 @ m)
@@ -272,31 +255,14 @@ def rate_function_shooting(problem: RateFunctionProblem) -> float:
     x, y = problem.x, problem.y
     if math.isclose(x, y, rel_tol=1e-14):
         return 0.0
-    sigma = problem.sigma
+    surface = problem.surface
     log_y = math.log(y)
-    eps = 1e-6
-
-    def w(g: float) -> float:
-        s = float(sigma(math.exp(g)))
-        if not (s > 0.0 and math.isfinite(s)):
-            raise DomainError("sigma must be finite and positive on the visited range")
-        return s**-2.0
-
-    def wp(g: float) -> float:
-        lvl = math.exp(g)
-        s = float(sigma(lvl))
-        ds = (float(sigma(lvl * (1 + eps))) - float(sigma(lvl * (1 - eps)))) / (2 * eps * lvl)
-        return -2.0 * s**-3.0 * ds * lvl
 
     def rhs(t, state, lam):
         g, p, _, _ = state
-        ww = w(g)
-        return [
-            p,
-            (lam * math.exp(g) - 0.5 * p * p * wp(g)) / ww,
-            math.exp(g),
-            0.5 * p * p * ww,
-        ]
+        lvl = math.exp(g)
+        w, wp = _weight(surface, lvl)
+        return [p, (lam * lvl - 0.5 * p * p * wp) / w, lvl, 0.5 * p * p * w]
 
     def integrate(p0: float, lam: float):
         return solve_ivp(
@@ -319,7 +285,7 @@ def rate_function_shooting(problem: RateFunctionProblem) -> float:
     # linearized-problem starting guesses, then coarse rescalings
     d = x / y - 1.0
     p0_guess = 3.0 * d
-    lam_guess = -3.0 * d * w(log_y) / y
+    lam_guess = -3.0 * d * _weight(surface, y)[0] / y
     for scale in (1.0, 0.5, 2.0, 0.25, 4.0, 0.1):
         sol = root(residuals, [p0_guess * scale, lam_guess * scale], method="hybr")
         if sol.success and np.max(np.abs(residuals(sol.x))) < 1e-8:

@@ -221,6 +221,25 @@ class TestExitCodes:
         assert rc == 1
         assert "ASIANVOL_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, env, command",
+        [
+            (["--threads", "0"], None, ["vols"]),
+            (["--threads", "-3"], None, ["ldp"]),
+            (["--threads", "0"], None, ["price"]),
+            (["--threads", "0"], None, ["check", "9"]),
+            ([], "0", ["vols"]),
+            ([], "-2", ["check", "9"]),
+        ],
+    )
+    def test_nonpositive_threads_exit_1(self, tmp_path, monkeypatch, capsys, flag, env, command):
+        if env is not None:
+            monkeypatch.setenv("ASIANVOL_THREADS", env)
+        out = [] if command[0] == "check" else [f"--output.dir={tmp_path / 'out'}"]
+        assert cli.main(flag + command + out) == 1
+        assert capsys.readouterr().err.startswith("error: threads must be a positive integer")
+        assert not (tmp_path / "out").exists()
+
 
 # ---------------------------------------------------------------------------
 # vols

@@ -16,7 +16,7 @@ from asianvol.ldp import (
     rate_function,
     rate_function_shooting,
 )
-from asianvol.model import CappedPowerVol, TimeScaledVol
+from asianvol.model import CappedPowerVol, ConstantVol, TimeScaledVol
 
 SKEW = CappedPowerVol(sref=0.2, xref=100.0, exponent=0.3, floor=0.05, cap=1.0)
 
@@ -30,8 +30,8 @@ BS_VALUES = {
 SKEW_VALUES = {110.0: 0.3460100116761436, 80.0: 1.8054858378489544}
 
 
-def bs_problem(x, y=100.0, sigma=0.3, **opts):
-    return RateFunctionProblem(sigma=lambda lvl: sigma, x=x, y=y, **opts)
+def bs_problem(x, y=100.0, sigma=0.3, grid_n=200):
+    return problem_from_surface(ConstantVol(sigma), x, y, grid_n=grid_n)
 
 
 # ---------------------------------------------------------------------------
@@ -42,15 +42,16 @@ class TestProblemValidation:
     @pytest.mark.parametrize("x, y", [(0.0, 100.0), (100.0, -1.0), (-5.0, 100.0)])
     def test_positive_levels_required(self, x, y):
         with pytest.raises(ValidationError, match="positive"):
-            RateFunctionProblem(sigma=lambda lvl: 0.3, x=x, y=y)
+            RateFunctionProblem(surface=ConstantVol(0.3), x=x, y=y)
 
     def test_grid_n_validated(self):
         with pytest.raises(ValidationError, match="grid_n"):
             bs_problem(110.0, grid_n=1)
 
-    def test_sigma_must_be_callable(self):
-        with pytest.raises(ValidationError, match="callable"):
-            RateFunctionProblem(sigma=0.3, x=110.0, y=100.0)
+    def test_a_non_surface_is_a_validation_error(self):
+        for surface in (0.3, lambda lvl: 0.3, None):
+            with pytest.raises(ValidationError, match="LocalVolSurface"):
+                RateFunctionProblem(surface=surface, x=110.0, y=100.0)
 
     def test_time_dependent_surface_rejected(self):
         with pytest.raises(ValidationError, match="time-independent"):
@@ -58,39 +59,70 @@ class TestProblemValidation:
 
     def test_nonpositive_sigma_is_domain_error(self):
         with pytest.raises(DomainError, match="sigma"):
-            rate_function(RateFunctionProblem(sigma=lambda lvl: -0.1, x=110.0, y=100.0))
+            rate_function(problem_from_surface(ConstantVol(0.0), 110.0, 100.0))
 
-    def test_package_error_on_arrays_is_not_retried_per_element(self):
-        calls = []
 
-        def sigma(levels):
-            calls.append(levels)
-            raise DomainError("sigma undefined here")
+# ---------------------------------------------------------------------------
+# the weight w = sigma^-2 and its g-derivative
+# ---------------------------------------------------------------------------
 
-        with pytest.raises(DomainError, match="undefined"):
-            rate_function(RateFunctionProblem(sigma=sigma, x=110.0, y=100.0))
-        assert len(calls) == 1
+class TestWeight:
+    # SKEW is on its power branch for 0.05 < 0.2 (x/100)^-0.3 < 1.0, that is
+    # for x in about (0.47, 10,159); below it is capped, above it floored
+    POWER = np.array([1.0, 50.0, 100.0, 180.0, 5000.0])
+    CLIPPED = np.array([0.01, 0.3, 2e4, 1e6])
 
-    @pytest.mark.parametrize(
-        "scalar, vectorized, expected",
-        [
-            (lambda lvl: 0.3, lambda lvl: np.full_like(lvl, 0.3), 0.18902316060478902),
-            (
-                lambda lvl: 0.2 if lvl < 100.0 else 0.3,  # raises ValueError on arrays
-                lambda lvl: np.where(lvl < 100.0, 0.2, 0.3),
-                0.42277006372929715,
-            ),
-        ],
-        ids=["constant", "piecewise"],
-    )
-    def test_scalar_only_sigma_solves_like_its_vectorized_twin(
-        self, scalar, vectorized, expected
-    ):
-        value = rate_function(RateFunctionProblem(sigma=scalar, x=90.0, y=100.0)).value
-        assert value == rate_function(
-            RateFunctionProblem(sigma=vectorized, x=90.0, y=100.0)
-        ).value
-        assert value == pytest.approx(expected, rel=1e-12)
+    @pytest.mark.parametrize("levels", [POWER, *POWER], ids=["array", *map(str, POWER)])
+    def test_power_branch_is_two_exponent_w(self, levels):
+        w, wp = ldp._weight(SKEW, levels)
+        assert np.shape(w) == np.shape(wp) == np.shape(levels)
+        np.testing.assert_allclose(wp, 2.0 * SKEW.exponent * np.asarray(w), rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(w, SKEW.sigma(0.0, levels) ** -2.0)
+
+    @pytest.mark.parametrize("levels", [CLIPPED, *CLIPPED], ids=["array", *map(str, CLIPPED)])
+    def test_clipped_branches_have_zero_derivative(self, levels):
+        w, wp = ldp._weight(SKEW, levels)
+        np.testing.assert_array_equal(wp, 0.0)
+        np.testing.assert_array_equal(w, np.where(np.asarray(levels) < 1.0, 1.0, 0.05**-2.0))
+
+    @pytest.mark.parametrize("levels", [np.array([0.5, 100.0, 3e5]), 0.5, 100.0, 3e5],
+                             ids=["array", "0.5", "100", "3e5"])
+    def test_constant_vol_has_exactly_zero_derivative(self, levels):
+        w, wp = ldp._weight(ConstantVol(0.3), levels)
+        assert np.all(wp == 0.0)
+        assert np.all(w == 0.3**-2.0)
+
+
+class _RecordingSkew(CappedPowerVol):
+    """SKEW that records the order and the levels of every sigma call."""
+
+    def __init__(self):
+        super().__init__(sref=0.2, xref=100.0, exponent=0.3, floor=0.05, cap=1.0)
+        self.calls = []
+
+    def sigma(self, t, x, order=0):
+        self.calls.append((order, np.array(x, dtype=float, ndmin=1)))
+        return super().sigma(t, x, order)
+
+
+class TestNoDifferenceStencil:
+    """Both solvers take sigma and a' from one fused call per evaluation."""
+
+    @pytest.mark.parametrize("solve", [rate_function, rate_function_shooting],
+                             ids=["direct", "shooting"])
+    def test_every_call_is_order_one_at_unperturbed_levels(self, solve):
+        surface = _RecordingSkew()
+        solve(problem_from_surface(surface, 110.0, 100.0, grid_n=50))
+        assert surface.calls
+        assert {order for order, _ in surface.calls} == {1}
+        levels = np.unique(np.concatenate([lvl for _, lvl in surface.calls]))
+        for rel in (1e-6, -1e-6):
+            # the nearest visited level to each lvl*(1 + rel): a difference
+            # stencil would have visited it to within rounding
+            bumped = levels * (1.0 + rel)
+            i = np.clip(np.searchsorted(levels, bumped), 1, len(levels) - 1)
+            gap = np.minimum(abs(levels[i] - bumped), abs(levels[i - 1] - bumped)) / bumped
+            assert gap.min() > 1e-13, (rel, levels[np.argmin(gap)])
 
 
 # ---------------------------------------------------------------------------
