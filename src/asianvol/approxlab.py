@@ -60,11 +60,6 @@ class DistanceCurve:
     seed: int
     steps: int
 
-    def write_csv(self, fileobj) -> None:
-        fileobj.write("t,moment,std_error\n")
-        for t, m, se in zip(self.t, self.moments, self.std_errors):
-            fileobj.write(f"{t:.17g},{m:.17g},{se:.17g}\n")
-
 
 @dataclass(frozen=True)
 class ScalingFit:

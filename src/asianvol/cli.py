@@ -14,13 +14,14 @@ check           run the acceptance battery (``--check`` is an alias)
 Configuration is YAML with blocks ``model`` (surface + market), ``payoff``,
 ``mc``, ``output`` and a per-command ``experiment`` block.  Every value has
 a default; a ``--config FILE`` overrides defaults, and ``--key.path=value``
-flags override the file (values are parsed as YAML, so lists work).
-Unknown keys are rejected by their full dotted name, and a number, flag or
-list of the wrong type by its key.  The ``model.surface`` and ``payoff``
-blocks are taken whole when present, because their keys depend on the
-chosen family; every other block merges key by key.  For the same reason a
-``--...family=`` override starts its block afresh -- give the new family's
-keys after it.
+flags override the file (values are parsed as YAML, so lists work).  A
+file and a flag follow one merge rule: a mapping merges key by key into
+its block, except that the ``model.surface`` and ``payoff`` blocks, whose
+keys depend on the chosen family, are taken whole; and a ``family`` key
+that switches family starts its block afresh -- give the new family's keys
+after it.  Unknown keys are rejected by their full dotted name, a block
+given anything but a mapping by its key, and a number, flag or list of the
+wrong type by its key.
 
 Every run writes ``resolved.yaml`` (the fully resolved configuration) into
 the output directory and repeats it as a ``#``-comment header inside each
@@ -63,7 +64,7 @@ from .asymptotics import (
     vol_quote,
 )
 from .errors import DomainError, NumericError, ValidationError
-from .harness import asym_price_value, asymptotics_error_study, compare_experiment
+from .harness import DEFAULT_T_GRID, asym_price_value, asymptotics_error_study, compare_experiment
 from .approxlab import refined_fit
 from .ldp import decay_slope, problem_from_surface, rate_function, rate_function_shooting
 from .model import (
@@ -116,13 +117,13 @@ _EXPERIMENT_DEFAULTS = {
     "converge": {
         "style": "asian",
         "estimator": "price",
-        "t_grid": [0.2, 0.1, 0.05, 0.025, 0.0125],
+        "t_grid": list(DEFAULT_T_GRID),
         "hypothesized_order": 1.0,
         "slack": 0.2,
         "path_scaling": True,
         "bump": 1.0e-3,
     },
-    "compare": {"t_grid": [0.2, 0.1, 0.05, 0.025, 0.0125], "path_scaling": True},
+    "compare": {"t_grid": list(DEFAULT_T_GRID), "path_scaling": True},
 }
 
 _OVERRIDE_RE = re.compile(r"^--([A-Za-z0-9_.-]+)=(.*)$", re.S)
@@ -132,69 +133,51 @@ _OVERRIDE_RE = re.compile(r"^--([A-Za-z0-9_.-]+)=(.*)$", re.S)
 # config resolution
 # ---------------------------------------------------------------------------
 
-def _merge_leaves(dst: dict, src, path: str) -> None:
-    if not isinstance(src, dict):
-        raise ValidationError(f"config block '{path}' must be a mapping")
-    for key, val in src.items():
-        if key not in dst:
-            raise ValidationError(f"unknown config key '{path}.{key}'")
-        dst[key] = copy.deepcopy(val)
+_FAMILY_BLOCKS = ("model.surface", "payoff")
 
 
-def _apply_file(cfg: dict, file_cfg) -> None:
-    if file_cfg is None:
-        return
-    if not isinstance(file_cfg, dict):
-        raise ValidationError("config file must contain a YAML mapping at top level")
-    for key in file_cfg:
-        if key not in cfg:
-            raise ValidationError(f"unknown config key '{key}'")
-    model = file_cfg.get("model", {})
-    if not isinstance(model, dict):
-        raise ValidationError("config block 'model' must be a mapping")
-    for key in model:
-        if key not in ("surface", "market"):
-            raise ValidationError(f"unknown config key 'model.{key}'")
-    # surface and payoff are family blocks: their keys depend on the family,
-    # so a file that sets them replaces the whole block
-    if "surface" in model:
-        cfg["model"]["surface"] = copy.deepcopy(model["surface"])
-    if "market" in model:
-        _merge_leaves(cfg["model"]["market"], model["market"], "model.market")
-    if "payoff" in file_cfg:
-        cfg["payoff"] = copy.deepcopy(file_cfg["payoff"])
-    for block in ("mc", "output", "experiment"):
-        if block in file_cfg:
-            _merge_leaves(cfg[block], file_cfg[block], block)
-
-
-def _apply_override(cfg: dict, dotted: str, text: str) -> None:
-    try:
-        value = yaml.safe_load(text) if text != "" else None
-    except yaml.YAMLError as exc:
-        raise ValidationError(
-            f"override --{dotted} has an invalid YAML value: {exc}"
-        ) from exc
-    # a family block is defined by its family: switching it would otherwise
-    # leave the old family's keys behind, which the new factory rejects
-    if dotted == "model.surface.family" and value != cfg["model"]["surface"].get("family"):
-        cfg["model"]["surface"] = {"family": value}
-        return
-    if dotted == "payoff.family" and value != cfg["payoff"].get("family"):
-        cfg["payoff"] = {"family": value}
-        return
-    parts = dotted.split(".")
+def _set(cfg: dict, dotted: str, value) -> None:
+    """Write ``value`` at the dotted key: the one way a file or an override
+    changes a config.  A mapping given for a block merges key by key, except
+    that a family block is taken whole."""
+    *head, leaf = dotted.split(".")
     node = cfg
-    for i, part in enumerate(parts[:-1]):
+    for i, part in enumerate(head):
         if not isinstance(node, dict) or part not in node:
-            raise ValidationError(f"unknown config key '{'.'.join(parts[: i + 1])}'")
+            raise ValidationError(f"unknown config key '{'.'.join(head[: i + 1])}'")
         node = node[part]
-    leaf = parts[-1]
     # family blocks accept new keys (the family factories validate them)
-    free = dotted.startswith("model.surface.") or dotted.startswith("payoff.")
-    if not isinstance(node, dict) or (leaf not in node and not free):
+    in_family = ".".join(head) in _FAMILY_BLOCKS
+    if not isinstance(node, dict) or (leaf not in node and not in_family):
         raise ValidationError(f"unknown config key '{dotted}'")
-    node[leaf] = value
+    if isinstance(node.get(leaf), dict):
+        if not isinstance(value, dict):
+            raise ValidationError(f"config block '{dotted}' must be a mapping")
+        if dotted not in _FAMILY_BLOCKS:
+            for key, val in value.items():
+                _set(cfg, f"{dotted}.{key}", val)
+            return
+    # a family switch would otherwise leave the old family's keys behind,
+    # which the new factory rejects
+    if in_family and leaf == "family" and value != node.get("family"):
+        node.clear()
+    node[leaf] = copy.deepcopy(value)
+
+
+def _load_yaml(path, what: str) -> dict:
+    """The mapping in a YAML file (an empty file is an empty mapping)."""
+    path = Path(path)
+    if not path.is_file():
+        raise ValidationError(f"{what} not found: {path}")
+    try:
+        data = yaml.safe_load(path.read_text())
+    except yaml.YAMLError as exc:
+        raise ValidationError(f"{what} {path} is not valid YAML:\n{exc}") from exc
+    if data is None:
+        return {}
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} {path} must contain a YAML mapping at top level")
+    return data
 
 
 def _parse_overrides(extras) -> list:
@@ -213,16 +196,16 @@ def _resolve(command: str, config_path, overrides) -> dict:
     cfg = copy.deepcopy(_BASE_DEFAULTS)
     cfg["experiment"] = copy.deepcopy(_EXPERIMENT_DEFAULTS[command])
     if config_path is not None:
-        path = Path(config_path)
-        if not path.is_file():
-            raise ValidationError(f"config file not found: {path}")
-        try:
-            file_cfg = yaml.safe_load(path.read_text())
-        except yaml.YAMLError as exc:
-            raise ValidationError(f"config file {path} is not valid YAML:\n{exc}") from exc
-        _apply_file(cfg, file_cfg)
+        for key, value in _load_yaml(config_path, "config file").items():
+            _set(cfg, str(key), value)
     for dotted, text in overrides:
-        _apply_override(cfg, dotted, text)
+        try:
+            value = yaml.safe_load(text) if text != "" else None
+        except yaml.YAMLError as exc:
+            raise ValidationError(
+                f"override --{dotted} has an invalid YAML value: {exc}"
+            ) from exc
+        _set(cfg, dotted, value)
     out = cfg["output"]["dir"]
     if not isinstance(out, str):
         raise ValidationError(f"config key 'output.dir' must be a string, got {out!r}")
@@ -308,14 +291,12 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _comment_block(fh, resolved_text: str) -> None:
-    for line in resolved_text.rstrip("\n").split("\n"):
-        fh.write(f"# {line}\n")
-
-
 def _write_csv(path: Path, resolved_text: str, header: str, rows) -> None:
+    """The one CSV writer: the resolved config as ``#`` comments, the header,
+    then one line per row."""
     with open(path, "w") as fh:
-        _comment_block(fh, resolved_text)
+        for line in resolved_text.rstrip("\n").split("\n"):
+            fh.write(f"# {line}\n")
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -437,9 +418,9 @@ def _cmd_verify_approx(cfg, threads, outdir, resolved):
         surface, market, pair, float(e["p"]), grid, sim, slope_tol=float(e["slope_tol"])
     )
     for key, fname in (("curve", "approx_curve.csv"), ("curve_refined", "approx_curve_refined.csv")):
-        with open(outdir / fname, "w") as fh:
-            _comment_block(fh, resolved)
-            res[key].write_csv(fh)
+        c = res[key]
+        _write_csv(outdir / fname, resolved, "t,moment,std_error",
+                   zip(c.t, c.moments, c.std_errors))
     fit, fit2 = res["fit"], res["fit_refined"]
     _write_csv(
         outdir / "approx_fit.csv",
@@ -463,10 +444,8 @@ def _cmd_ldp(cfg, threads, outdir, resolved):
     e = cfg["experiment"]
     problem = problem_from_surface(surface, float(e["x"]), market.S0, grid_n=int(e["grid_n"]))
     res = rate_function(problem)
-    with open(outdir / "path.csv", "w") as fh:
-        _comment_block(fh, resolved)
-        res.write_csv(fh)
-    summary = res.summary()
+    _write_csv(outdir / "path.csv", resolved, "t,g", zip(res.t, res.g))
+    summary = {k: v for k, v in vars(res).items() if k not in ("t", "g")}
     if bool(e["oracle"]):
         oracle = rate_function_shooting(problem)
         summary["oracle"] = oracle
@@ -529,9 +508,13 @@ def _cmd_compare(cfg, threads, outdir, resolved):
         sim,
         path_scaling=bool(e["path_scaling"]),
     )
-    with open(outdir / "compare.csv", "w") as fh:
-        _comment_block(fh, resolved)
-        table.write_csv(fh)
+    _write_csv(
+        outdir / "compare.csv",
+        resolved,
+        "T,mc,asym,err_matched,err_unmatched,err_geo,stderr",
+        zip(table.T, table.mc, table.asym, table.mc - table.eur_matched,
+            table.mc - table.eur_unmatched, table.mc - table.geo, table.std_errors),
+    )
     summary = {
         name: {
             "fitted_order": rep.fitted_order,
@@ -992,12 +975,7 @@ def run_criterion(criterion: int, config_path, threads: int = 1):
     """
     if criterion not in _CRITERIA:
         raise ValidationError(f"criterion must be 1..{len(_CRITERIA)}, got {criterion}")
-    path = Path(config_path)
-    if not path.is_file():
-        raise ValidationError(f"criterion config not found: {path}")
-    cfg = yaml.safe_load(path.read_text())
-    if not isinstance(cfg, dict):
-        raise ValidationError(f"criterion config must be a mapping: {path}")
+    cfg = _load_yaml(config_path, "criterion config")
     fn, _ = _CRITERIA[criterion]
     return fn(_CriterionConfig(cfg, criterion), threads)
 

@@ -262,16 +262,6 @@ class CompareTable:
     geo_enabled: bool
     reports: dict = field(default_factory=dict)
 
-    def write_csv(self, fileobj) -> None:
-        fileobj.write("T,mc,asym,err_matched,err_unmatched,err_geo,stderr\n")
-        em = self.mc - self.eur_matched
-        eu = self.mc - self.eur_unmatched
-        eg = self.mc - self.geo
-        for i in range(len(self.T)):
-            cells = (self.T[i], self.mc[i], self.asym[i], em[i], eu[i], eg[i],
-                     self.std_errors[i])
-            fileobj.write(",".join(f"{c:.17g}" for c in cells) + "\n")
-
 
 def compare_experiment(
     surface: LocalVolSurface,

@@ -107,21 +107,6 @@ class RateFunctionResult:
     converged: bool
     n_outer: int
 
-    def write_csv(self, fileobj) -> None:
-        fileobj.write("t,g\n")
-        for t, g in zip(self.t, self.g):
-            fileobj.write(f"{t:.17g},{g:.17g}\n")
-
-    def summary(self) -> dict:
-        return {
-            "value": self.value,
-            "constraint_residual": self.constraint_residual,
-            "el_residual": self.el_residual,
-            "multiplier": self.multiplier,
-            "converged": self.converged,
-            "n_outer": self.n_outer,
-        }
-
 
 def problem_from_surface(
     surface: LocalVolSurface, x: float, y: float, grid_n: int = 200

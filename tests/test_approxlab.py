@@ -1,6 +1,5 @@
 """Tests for the coupled-pair L^p distance curves and exponent fits."""
 
-import io
 import math
 
 import numpy as np
@@ -157,19 +156,3 @@ class TestRefinedFit:
         out = refined_fit(BS, FLAT, ("X", "Xt"), 2.0, T_GRID, cfg)
         assert not out["stable"]
         assert out["fit"].status == "degenerate-curve"
-
-
-# ---------------------------------------------------------------------------
-# output format
-# ---------------------------------------------------------------------------
-
-class TestCsv:
-    def test_header_and_precision(self):
-        t = np.array([0.25, 0.5])
-        c = synthetic_curve(t, [1.0 / 3.0, 4.0 / 3.0])
-        buf = io.StringIO()
-        c.write_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "t,moment,std_error"
-        assert len(lines) == 3
-        assert float(lines[1].split(",")[1]) == 1.0 / 3.0

@@ -7,6 +7,10 @@ import pytest
 import yaml
 
 from asianvol import cli
+from asianvol.approxlab import lp_distance_curve
+from asianvol.harness import compare_experiment
+from asianvol.model import ConstantVol, MarketParams, PayoffSpec
+from asianvol.montecarlo import SimConfig
 
 
 def read_csv(path):
@@ -168,6 +172,44 @@ class TestConfigResolution:
         assert rc == 1
         assert "invalid YAML value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "file_cfg, argv, named",
+        [
+            ({"model": {"surface": 5}}, ["vols"], "model.surface"),
+            (None, ["price", "--payoff=7"], "payoff"),
+            (None, ["vols", "--model.market=5"], "model.market"),
+            (None, ["vols", "--model=5"], "model"),
+        ],
+    )
+    def test_a_block_given_a_non_mapping_is_named(self, tmp_path, capsys, file_cfg, argv, named):
+        config = []
+        if file_cfg is not None:
+            (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(file_cfg))
+            config = ["--config", str(tmp_path / "cfg.yaml")]
+        rc = cli.main([*config, argv[0], f"--output.dir={tmp_path / 'out'}", *argv[1:]])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: config block '{named}' must be a mapping\n"
+
+    def test_a_mapping_override_merges_key_by_key(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["vols", f"--output.dir={out}", "--experiment.n_t=2",
+                         "--model.market={r: 0.03}"]) == 0
+        resolved = yaml.safe_load((out / "resolved.yaml").read_text())
+        assert resolved["model"]["market"] == {"S0": 100.0, "r": 0.03, "q": 0.0}
+        assert cli.main(["vols", f"--output.dir={out}", "--mc={paths: 5}"]) == 1
+        assert "'mc.paths'" in capsys.readouterr().err
+
+    def test_a_file_and_overrides_resolve_to_the_same_bytes(self, tmp_path):
+        skew = {"family": "capped-power", "sref": 0.2, "xref": 100.0,
+                "exponent": 0.3, "floor": 0.05, "cap": 1.0}
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump({"model": {"surface": skew}, "experiment": {"n_t": 3}}))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["--config", str(cfg), "vols", f"--output.dir={a}"]) == 0
+        flags = [f"--model.surface.{k}={v}" for k, v in skew.items()]
+        assert cli.main(["vols", f"--output.dir={b}", "--experiment.n_t=3", *flags]) == 0
+        assert (a / "resolved.yaml").read_bytes() == (b / "resolved.yaml").read_bytes()
+
 
 # ---------------------------------------------------------------------------
 # exit codes
@@ -208,6 +250,13 @@ class TestExitCodes:
         assert cli.main(["check", "1", "--configs-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: criterion 1 config") and "'tol'" in err
+
+    def test_malformed_criterion_config_exits_1(self, tmp_path, capsys):
+        (tmp_path / "c01.yaml").write_text("tol: [unclosed\n")
+        assert cli.main(["check", "1", "--configs-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: criterion config") and "not valid YAML" in err
+        assert "Traceback" not in err
 
     def test_help_exits_0(self):
         assert cli.main(["--help"]) == 0
@@ -392,7 +441,11 @@ class TestRemainingCommands:
         header, rows = read_csv(out / "path.csv")
         assert header == ["t", "g"]
         assert len(rows) == 81
+        assert float(rows[0][0]) == 0.0
+        assert float(rows[0][1]) == pytest.approx(math.log(100.0), abs=1e-15)
         summary = yaml.safe_load((out / "summary.yaml").read_text())
+        assert set(summary) == {"value", "constraint_residual", "el_residual", "multiplier",
+                                "converged", "n_outer", "oracle", "oracle_gap_abs"}
         assert summary["converged"] is True
         assert summary["oracle_gap_abs"] < 1e-3 * summary["oracle"]
 
@@ -419,6 +472,16 @@ class TestRemainingCommands:
         assert header == ["T", "mc", "asym", "err_matched", "err_unmatched",
                           "err_geo", "stderr"]
         assert len(rows) == 4
+        # the same run through the library: each err_* cell is mc minus its proxy
+        table = compare_experiment(ConstantVol(0.2), MarketParams(100.0, 0.0, 0.0),
+                                   PayoffSpec("call", strike=100.0), [0.2, 0.1, 0.05, 0.025],
+                                   SimConfig(steps=25, n_paths=5000, seed=1))
+        for i, row in enumerate(rows):
+            mc = float(row[1])
+            assert mc == table.mc[i]
+            for cell, proxy in zip(row[3:6], (table.eur_matched, table.eur_unmatched,
+                                              table.geo)):
+                assert float(cell) == mc - proxy[i]
         summary = yaml.safe_load((out / "summary.yaml").read_text())
         assert set(summary) == {"matched", "unmatched", "geo"}
 
@@ -431,6 +494,11 @@ class TestRemainingCommands:
         header, rows = read_csv(out / "approx_curve.csv")
         assert header == ["t", "moment", "std_error"]
         assert len(rows) == 5
+        # the cells read back as exactly the library curve's floats
+        curve = lp_distance_curve(ConstantVol(0.2), MarketParams(100.0, 0.0, 0.0),
+                                  ("Xt", "Xh"), 2.0, [float(r[0]) for r in rows],
+                                  SimConfig(steps=30, n_paths=5000, seed=1))
+        assert [float(r[1]) for r in rows] == list(curve.moments)
         header, rows = read_csv(out / "approx_fit.csv")
         assert header == ["steps", "slope", "intercept", "r_squared", "status"]
         assert [r[0] for r in rows] == ["30", "60"]

@@ -1,6 +1,5 @@
 """Tests for order-of-convergence fits and the comparison experiment."""
 
-import io
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 from asianvol.errors import ValidationError
 from asianvol.harness import (
     DEFAULT_T_GRID,
-    CompareTable,
     asymptotics_error_study,
     compare_experiment,
     convergence_report,
@@ -174,24 +172,6 @@ class TestCompare:
         assert np.all(np.isnan(tab.geo))
         assert "geo" not in tab.reports
         assert {"matched", "unmatched"} <= set(tab.reports)
-
-    def test_csv_schema(self):
-        tab = CompareTable(
-            T=np.array([0.2, 0.1]),
-            mc=np.array([1.0, 0.5]),
-            std_errors=np.array([0.01, 0.005]),
-            asym=np.array([1.1, 0.55]),
-            eur_matched=np.array([0.9, 0.45]),
-            eur_unmatched=np.array([1.2, 0.6]),
-            geo=np.array([np.nan, np.nan]),
-            geo_enabled=False,
-        )
-        buf = io.StringIO()
-        tab.write_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "T,mc,asym,err_matched,err_unmatched,err_geo,stderr"
-        cells = lines[1].split(",")
-        assert float(cells[3]) == pytest.approx(1.0 - 0.9, abs=1e-15)
 
     def test_matched_vol_outperforms_unmatched(self):
         # drift makes the matched-vol European track the Asian at O(T) while

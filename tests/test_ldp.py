@@ -1,6 +1,5 @@
 """Tests for the rate-function solvers and the decay-slope regression."""
 
-import io
 import math
 
 import numpy as np
@@ -254,22 +253,3 @@ class TestDecaySlope:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValidationError, match="3 points"):
             decay_slope([0.5, 0.25], [0.1, 0.05], 0.5)
-
-
-# ---------------------------------------------------------------------------
-# output format
-# ---------------------------------------------------------------------------
-
-class TestOutputs:
-    def test_path_csv_and_summary(self):
-        res = rate_function(bs_problem(110.0, grid_n=50))
-        buf = io.StringIO()
-        res.write_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "t,g"
-        assert len(lines) == 52
-        first = lines[1].split(",")
-        assert float(first[0]) == 0.0
-        assert float(first[1]) == pytest.approx(math.log(100.0), abs=1e-15)
-        summary = res.summary()
-        assert {"value", "constraint_residual", "el_residual", "converged"} <= set(summary)
