@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from asianvol import cli
 from asianvol.approxlab import (
     PAIRS,
     DistanceCurve,
@@ -156,3 +157,24 @@ class TestRefinedFit:
         out = refined_fit(BS, FLAT, ("X", "Xt"), 2.0, T_GRID, cfg)
         assert not out["stable"]
         assert out["fit"].status == "degenerate-curve"
+
+
+# ---------------------------------------------------------------------------
+# output format
+# ---------------------------------------------------------------------------
+
+class TestCsv:
+    def test_header_and_precision(self, tmp_path, monkeypatch):
+        # verify-approx writes the curve it is handed; hand it a known one
+        t = np.array([0.25, 0.5])
+        c = synthetic_curve(t, [1.0 / 3.0, 4.0 / 3.0])
+        fit = scaling_exponent(c)
+        monkeypatch.setattr(cli, "refined_fit", lambda *a, **k: {
+            "curve": c, "curve_refined": c, "fit": fit, "fit_refined": fit, "stable": True})
+        out = tmp_path / "out"
+        assert cli.main(["verify-approx", f"--output.dir={out}"]) == 0
+        text = (out / "approx_curve.csv").read_text()
+        lines = [ln for ln in text.splitlines() if not ln.startswith("# ")]
+        assert lines[0] == "t,moment,std_error"
+        assert len(lines) == 3
+        assert float(lines[1].split(",")[1]) == 1.0 / 3.0

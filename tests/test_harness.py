@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from asianvol import cli
 from asianvol.errors import ValidationError
 from asianvol.harness import (
     DEFAULT_T_GRID,
+    CompareTable,
     asymptotics_error_study,
     compare_experiment,
     convergence_report,
@@ -172,6 +174,27 @@ class TestCompare:
         assert np.all(np.isnan(tab.geo))
         assert "geo" not in tab.reports
         assert {"matched", "unmatched"} <= set(tab.reports)
+
+    def test_csv_schema(self, tmp_path, monkeypatch):
+        # compare writes the table it is handed; hand it a known one
+        tab = CompareTable(
+            T=np.array([0.2, 0.1]),
+            mc=np.array([1.0, 0.5]),
+            std_errors=np.array([0.01, 0.005]),
+            asym=np.array([1.1, 0.55]),
+            eur_matched=np.array([0.9, 0.45]),
+            eur_unmatched=np.array([1.2, 0.6]),
+            geo=np.array([np.nan, np.nan]),
+            geo_enabled=False,
+        )
+        monkeypatch.setattr(cli, "compare_experiment", lambda *a, **k: tab)
+        out = tmp_path / "out"
+        assert cli.main(["compare", f"--output.dir={out}"]) == 0
+        text = (out / "compare.csv").read_text()
+        lines = [ln for ln in text.splitlines() if not ln.startswith("# ")]
+        assert lines[0] == "T,mc,asym,err_matched,err_unmatched,err_geo,stderr"
+        cells = lines[1].split(",")
+        assert float(cells[3]) == pytest.approx(1.0 - 0.9, abs=1e-15)
 
     def test_matched_vol_outperforms_unmatched(self):
         # drift makes the matched-vol European track the Asian at O(T) while

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
-from asianvol import ldp
+from asianvol import cli, ldp
 from asianvol.errors import DomainError, ValidationError
 from asianvol.ldp import (
     DecayReport,
@@ -253,3 +254,27 @@ class TestDecaySlope:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValidationError, match="3 points"):
             decay_slope([0.5, 0.25], [0.1, 0.05], 0.5)
+
+
+# ---------------------------------------------------------------------------
+# output format
+# ---------------------------------------------------------------------------
+
+class TestOutputs:
+    def test_path_csv_and_summary(self, tmp_path):
+        # the CLI run of bs_problem(110.0, grid_n=50)
+        out = tmp_path / "out"
+        rc = cli.main(["ldp", f"--output.dir={out}", "--model.surface.sigma=0.3",
+                       "--experiment.x=110.0", "--experiment.grid_n=50",
+                       "--experiment.oracle=false"])
+        assert rc == 0
+        text = (out / "path.csv").read_text()
+        lines = [ln for ln in text.splitlines() if not ln.startswith("# ")]
+        assert lines[0] == "t,g"
+        assert len(lines) == 52
+        first = lines[1].split(",")
+        assert float(first[0]) == 0.0
+        assert float(first[1]) == pytest.approx(math.log(100.0), abs=1e-15)
+        summary = yaml.safe_load((out / "summary.yaml").read_text())
+        assert {"value", "constraint_residual", "el_residual", "converged"} <= set(summary)
+        assert summary["value"] == rate_function(bs_problem(110.0, grid_n=50)).value
