@@ -10,16 +10,20 @@ variational problem
 
 (y the starting spot, x the target average).  The problem holds a
 level-only `LocalVolSurface`; both solvers read the weight
-w(g) = sigma(e^g)^-2 and its derivative w'(g) = -2 sigma^-3 (a' - sigma)
-from one fused `surface.sigma(0, e^g, 1)` call, where a' = d(sigma x)/dx is
-the surface's closed-form coefficient derivative.  Two independent solvers
+w(g) = sigma(e^g)^-2 and its g-derivatives from one fused
+`surface.sigma(0, e^g, order)` call, where a' = d(sigma x)/dx and a'' are
+the surface's closed-form coefficient derivatives.  Two independent solvers
 are provided:
 
 * `rate_function` - the product: first-discretize-then-optimize.  g lives
   on a uniform grid, the objective uses forward-difference slopes with
-  trapezoidal coefficient averaging, the integral constraint is enforced
-  by an augmented-Lagrangian outer loop, and the inner minimizations run
-  L-BFGS with an analytic gradient.
+  trapezoidal coefficient averaging, and the integral constraint is
+  enforced by an augmented-Lagrangian outer loop.  Each interval couples
+  only its two nodes, so the inner minimizations take damped Newton steps
+  on a tridiagonal Hessian plus the penalty's rank-one term: one banded
+  Cholesky solve with Sherman-Morrison per step, a Levenberg shift where
+  the factorization fails, and Armijo backtracking (Nocedal & Wright,
+  Numerical Optimization, 2nd ed., section 3.4 and chapter 17).
 * `rate_function_shooting` - the oracle: the Euler-Lagrange boundary-value
   problem (free right endpoint, so g'(1) = 0) is solved by shooting on
   the initial slope and the constraint multiplier with an adaptive
@@ -41,7 +45,8 @@ from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq, minimize, root
+from scipy.linalg import LinAlgError, solveh_banded
+from scipy.optimize import brentq, root
 
 from .errors import DomainError, NumericError, ValidationError
 from .model import LocalVolSurface
@@ -62,6 +67,9 @@ _PENALTY0 = 10.0
 _PENALTY_FACTOR = 10.0
 _CONSTRAINT_TOL = 1e-8
 _EL_TOL = 1e-5
+_MAX_NEWTON = 50    # Newton steps per outer iteration
+_MAX_HALVINGS = 30  # Armijo step halvings per Newton step
+_NEWTON_TOL = 1e-12  # Newton decrement, relative to 1 + |L|, of the last step
 
 
 @dataclass(frozen=True)
@@ -115,21 +123,41 @@ def problem_from_surface(
     return RateFunctionProblem(surface=surface, x=x, y=y, grid_n=grid_n)
 
 
-def _weight(surface: LocalVolSurface, lvl):
-    """w = sigma^-2 and w' = d/dg sigma(e^g)^-2 at lvl = e^g (scalar or array).
+def _weight(surface: LocalVolSurface, lvl, order: int = 1):
+    """w = sigma^-2 and its g-derivatives up to `order` at lvl = e^g.
 
-    One fused call gives sigma and a' = d(sigma x)/dx, so
-    w' = -2 sigma^-3 x dsigma/dx = -2 sigma^-3 (a' - sigma).
+    One fused call gives sigma, a' = d(sigma x)/dx and, at order 2, a''.
+    With sigma_g = x dsigma/dx = a' - sigma,
+    w' = -2 sigma^-3 sigma_g and w'' = 6 sigma^-4 sigma_g^2 - 2 sigma^-3 (x a'' - sigma_g).
     """
-    s, ap = surface.sigma(0.0, lvl, 1)
+    s, *a = surface.sigma(0.0, lvl, order)
     if not np.all((s > 0.0) & (s < np.inf)):
         raise DomainError("sigma must be finite and positive on the visited range")
-    return s**-2.0, -2.0 * s**-3.0 * (ap - s)
+    sg = a[0] - s
+    w = (s**-2.0, -2.0 * s**-3.0 * sg)
+    return w if order == 1 else w + (6.0 * s**-4.0 * sg**2 - 2.0 * s**-3.0 * (lvl * a[1] - sg),)
 
 
 # ---------------------------------------------------------------------------
 # direct solver
 # ---------------------------------------------------------------------------
+
+def _action(surface: LocalVolSurface, g: np.ndarray):
+    """f = (h/2) sum_i d_i^2 m_i on the uniform grid g (h = 1/(len(g) - 1), d_i the
+    forward slope, m_i the mean of w on interval i), its gradient over all nodes
+    and its tridiagonal Hessian as (diagonal, off-diagonal)."""
+    h = 1.0 / (len(g) - 1)
+    w, wp, wpp = _weight(surface, np.exp(g), 2)
+    d = np.diff(g) / h
+    m = 0.5 * (w[:-1] + w[1:])
+    q = 0.25 * h * d**2
+    grad, diag = np.zeros(len(g)), np.zeros(len(g))
+    grad[:-1] += q * wp[:-1] - d * m
+    grad[1:] += q * wp[1:] + d * m
+    diag[:-1] += m / h - d * wp[:-1] + q * wpp[:-1]
+    diag[1:] += m / h + d * wp[1:] + q * wpp[1:]
+    return 0.5 * h * float(d**2 @ m), grad, diag, 0.5 * d * (wp[:-1] - wp[1:]) - m / h
+
 
 def rate_function(problem: RateFunctionProblem) -> RateFunctionResult:
     """Minimize the discretized action under the integral constraint.
@@ -152,19 +180,32 @@ def rate_function(problem: RateFunctionProblem) -> RateFunctionResult:
     def constraint(g: np.ndarray) -> float:
         return float(cw @ np.exp(g)) - x
 
-    def objective_and_grad(g: np.ndarray):
-        w, wp = _weight(problem.surface, np.exp(g))
-        d = np.diff(g) / h
-        m = 0.5 * (w[:-1] + w[1:])
-        f = 0.5 * h * float(d**2 @ m)
-        # gradient over all nodes; node 0 stays fixed
-        grad = np.zeros(n + 1)
-        grad[:-1] -= d * m
-        grad[1:] += d * m
-        dsq = d**2
-        grad[:-1] += 0.25 * h * dsq * wp[:-1]
-        grad[1:] += 0.25 * h * dsq * wp[1:]
-        return f, grad
+    def augmented(free: np.ndarray, lam: float, mu: float):
+        # L = f + lam c + mu c^2 / 2 over the free nodes: value, gradient and the
+        # Hessian's tridiagonal part (diagonal, off-diagonal) plus mu gc gc^T
+        g = np.concatenate(([log_y], free))
+        f, grad, diag, off = _action(problem.surface, g)
+        c = constraint(g)
+        gc = cw * np.exp(g)
+        lc = lam + mu * c
+        return (f + lam * c + 0.5 * mu * c * c, (grad + lc * gc)[1:], (diag + lc * gc)[1:],
+                off[1:], gc[1:])
+
+    def newton_step(grad, diag, off, gc, mu):
+        # Sherman-Morrison on one banded Cholesky solve with two right-hand
+        # sides; a failed factorization or a non-descent step retries with a
+        # growing Levenberg shift tau I on the tridiagonal part
+        tau = 0.0
+        while True:
+            try:
+                ab = np.vstack((np.r_[0.0, off], diag + tau))
+                z, zc = solveh_banded(ab, np.column_stack((-grad, gc))).T
+                step = z - zc * (mu * (gc @ z) / (1.0 + mu * (gc @ zc)))
+                if grad @ step <= 0.0:
+                    return step
+            except LinAlgError:
+                pass
+            tau = max(2.0 * tau, 1e-6 * float(np.max(np.abs(diag))))
 
     def feasible_line() -> np.ndarray:
         # endpoint a such that the trapezoid integral of exp(line) equals x
@@ -176,35 +217,34 @@ def rate_function(problem: RateFunctionProblem) -> RateFunctionResult:
         a = brentq(gap, lo, hi, xtol=1e-14)
         return log_y + (a - log_y) * t
 
-    g = feasible_line()
+    free = feasible_line()[1:]
     lam, mu = 0.0, _PENALTY0
     n_outer = 0
     for n_outer in range(1, _MAX_OUTER + 1):
-
-        def lagrangian(free: np.ndarray):
-            gg = np.concatenate(([log_y], free))
-            f, grad = objective_and_grad(gg)
-            c = constraint(gg)
-            gc = cw * np.exp(gg)
-            val = f + lam * c + 0.5 * mu * c * c
-            grad_full = grad + (lam + mu * c) * gc
-            return val, grad_full[1:]
-
-        res = minimize(
-            lagrangian,
-            g[1:],
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12},
-        )
-        g = np.concatenate(([log_y], res.x))
-        c = constraint(g)
+        val, grad, *hess = augmented(free, lam, mu)
+        for _ in range(_MAX_NEWTON):
+            step = newton_step(grad, *hess, mu)
+            slope, alpha = grad @ step, 1.0
+            if -slope <= _NEWTON_TOL * (1.0 + abs(val)):
+                free = free + step  # converged to rounding: the last, full step
+                break
+            for _ in range(_MAX_HALVINGS):  # Armijo backtracking on L
+                trial = augmented(free + alpha * step, lam, mu)
+                if trial[0] <= val + 1e-4 * alpha * slope:
+                    break
+                alpha *= 0.5
+            else:
+                break  # no decrease along a descent step: stalled, e.g. at a kink of sigma
+            free = free + alpha * step
+            val, grad, *hess = trial
+        c = constraint(np.concatenate(([log_y], free)))
         lam += mu * c
         if abs(c) <= _CONSTRAINT_TOL * x:
             break
         mu *= _PENALTY_FACTOR
 
-    f, grad = objective_and_grad(g)
+    g = np.concatenate(([log_y], free))
+    f, grad, *_ = _action(problem.surface, g)
     gc = cw * np.exp(g)
     el = float(np.max(np.abs((grad + lam * gc)[1:])))
     c_rel = abs(constraint(g)) / x

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import yaml
 
 from asianvol import cli, ldp
@@ -19,6 +20,7 @@ from asianvol.ldp import (
 from asianvol.model import CappedPowerVol, ConstantVol, TimeScaledVol
 
 SKEW = CappedPowerVol(sref=0.2, xref=100.0, exponent=0.3, floor=0.05, cap=1.0)
+STEEP = CappedPowerVol(sref=0.2, xref=100.0, exponent=1.5, floor=0.05, cap=0.6)
 
 # cross-validated solver/oracle values, frozen (sigma, y, x) -> I
 BS_VALUES = {
@@ -93,6 +95,36 @@ class TestWeight:
         assert np.all(w == 0.3**-2.0)
 
 
+class TestActionHessian:
+    """The assembled Hessian and w'' against central differences of the
+    analytic gradient and of w'.  Step 1e-6 in g: O(1e-12) truncation and
+    O(1e-16 / 1e-6) relative rounding, inside the tolerances."""
+
+    EPS = 1e-6
+    # a curved path on 20 intervals; its levels (68 to 222) keep SKEW on
+    # its power branch, where w' = 0.6 w and w'' = 0.36 w
+    T = np.linspace(0.0, 1.0, 21)
+    G = math.log(100.0) + 0.8 * np.sin(3.0 * T) - 0.5 * T**2
+
+    @pytest.mark.parametrize("surface", [ConstantVol(0.3), SKEW], ids=["constant", "power"])
+    def test_tridiagonal_hessian_is_the_gradient_difference(self, surface):
+        _, _, diag, off = ldp._action(surface, self.G)
+        hess = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        fd = np.empty_like(hess)
+        for j, e in enumerate(np.eye(len(self.G)) * self.EPS):
+            up, down = ldp._action(surface, self.G + e)[1], ldp._action(surface, self.G - e)[1]
+            fd[:, j] = (up - down) / (2.0 * self.EPS)
+        np.testing.assert_allclose(hess, fd, rtol=1e-7, atol=1e-6)
+
+    @pytest.mark.parametrize("surface", [ConstantVol(0.3), SKEW], ids=["constant", "power"])
+    def test_w_second_derivative_is_the_w_prime_difference(self, surface):
+        lvl = np.exp(self.G)
+        wpp = ldp._weight(surface, lvl, 2)[2]
+        up = ldp._weight(surface, lvl * math.exp(self.EPS))[1]
+        down = ldp._weight(surface, lvl * math.exp(-self.EPS))[1]
+        np.testing.assert_allclose(wpp, (up - down) / (2.0 * self.EPS), rtol=1e-7, atol=1e-9)
+
+
 class _RecordingSkew(CappedPowerVol):
     """SKEW that records the order and the levels of every sigma call."""
 
@@ -106,15 +138,17 @@ class _RecordingSkew(CappedPowerVol):
 
 
 class TestNoDifferenceStencil:
-    """Both solvers take sigma and a' from one fused call per evaluation."""
+    """Both solvers take their coefficients from one fused call per evaluation:
+    the direct solver at order 2 (its Newton steps read w''), the shooting
+    oracle at order 1."""
 
-    @pytest.mark.parametrize("solve", [rate_function, rate_function_shooting],
+    @pytest.mark.parametrize("solve, orders", [(rate_function, {2}), (rate_function_shooting, {1})],
                              ids=["direct", "shooting"])
-    def test_every_call_is_order_one_at_unperturbed_levels(self, solve):
+    def test_every_call_is_order_one_at_unperturbed_levels(self, solve, orders):
         surface = _RecordingSkew()
         solve(problem_from_surface(surface, 110.0, 100.0, grid_n=50))
         assert surface.calls
-        assert {order for order, _ in surface.calls} == {1}
+        assert {order for order, _ in surface.calls} == orders
         levels = np.unique(np.concatenate([lvl for _, lvl in surface.calls]))
         for rel in (1e-6, -1e-6):
             # the nearest visited level to each lvl*(1 + rel): a difference
@@ -190,6 +224,47 @@ class TestRateFunction:
             res = rate_function(problem_from_surface(SKEW, x, 100.0, grid_n=200))
             assert res.converged
             assert abs(res.value - expected) / expected < 1e-3
+
+    def test_grid_200_solve_makes_at_most_100_surface_calls(self):
+        surface = _RecordingSkew()
+        rate_function(problem_from_surface(surface, 110.0, 100.0, grid_n=200))
+        assert 0 < len(surface.calls) <= 100
+
+
+class TestHardTargets:
+    """Far targets on flat, skewed and steep surfaces."""
+
+    @pytest.mark.parametrize("surface, x", [
+        (ConstantVol(0.3), 40.0), (ConstantVol(0.3), 400.0), (SKEW, 40.0), (SKEW, 400.0),
+        (STEEP, 40.0), (STEEP, 140.0),
+    ], ids=["flat-40", "flat-400", "skew-40", "skew-400", "steep-40", "steep-140"])
+    def test_converges_and_agrees_with_shooting(self, surface, x):
+        problem = problem_from_surface(surface, x, 100.0, grid_n=200)
+        res = rate_function(problem)
+        assert res.converged, (res.constraint_residual, res.el_residual)
+        oracle = rate_function_shooting(problem)
+        assert abs(res.value - oracle) / oracle < 1e-3  # c07's oracle_tol
+
+    def test_flat_far_call_needs_the_levenberg_shift(self, monkeypatch):
+        # the tridiagonal part is indefinite there: without the shift tau I
+        # its Cholesky factorization has nothing to fall back on
+        failures = []
+
+        def recording(ab, b, **kwargs):
+            try:
+                return scipy.linalg.solveh_banded(ab, b, **kwargs)
+            except scipy.linalg.LinAlgError:
+                failures.append(ab)
+                raise
+
+        monkeypatch.setattr(ldp, "solveh_banded", recording)
+        assert rate_function(bs_problem(400.0)).converged
+        assert failures
+
+    def test_steep_x60_returns_not_converged(self):
+        # the path crosses the cap's kink at x = 48, where w' jumps
+        res = rate_function(problem_from_surface(STEEP, 60.0, 100.0, grid_n=200))
+        assert not res.converged
 
 
 # ---------------------------------------------------------------------------
