@@ -454,7 +454,7 @@ def _cmd_ldp(cfg, threads, outdir, resolved):
     print(f"I({float(e['x']):.6g}) = {res.value:.6g}  (converged={res.converged}, "
           f"outer iterations {res.n_outer})")
     if bool(e["oracle"]):
-        print(f"  shooting oracle {summary['oracle']:.6g}  "
+        print(f"  oracle {summary['oracle']:.6g}  "
               f"(|gap| {summary['oracle_gap_abs']:.3g})")
 
 
@@ -740,7 +740,7 @@ def _crit_07(c, threads):
     oks.append(rel_sc <= float(c["scaling_tol"]))
     parts.append(f"scaling gap {rel_sc:.1e}")
 
-    # direct minimizer against the shooting oracle, level-free and skewed
+    # direct minimizer against the energy-integral oracle, level-free and skewed
     worst_or = 0.0
     for surf, x in [(surface, float(c["xs_oracle"][0])), (surface, float(c["xs_oracle"][1])),
                     (skew, float(c["x_skew"]))]:

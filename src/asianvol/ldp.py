@@ -24,10 +24,11 @@ are provided:
   Cholesky solve with Sherman-Morrison per step, a Levenberg shift where
   the factorization fails, and Armijo backtracking (Nocedal & Wright,
   Numerical Optimization, 2nd ed., section 3.4 and chapter 17).
-* `rate_function_shooting` - the oracle: the Euler-Lagrange boundary-value
-  problem (free right endpoint, so g'(1) = 0) is solved by shooting on
-  the initial slope and the constraint multiplier with an adaptive
-  integrator.  Used only to cross-check the direct solver.
+* `rate_function_shooting` - the oracle, which keeps the name of the
+  shooting solver it replaced because the benchmark calls it by that name.
+  Energy is conserved along the Euler-Lagrange path, so the path's
+  endpoint is one scalar root over two 1-D integrals, each a Gauss-Legendre
+  rule split at sigma's kinks.  Used only to cross-check the direct solver.
 
 Neither method is guaranteed to find a global minimizer; when they
 disagree, the smaller objective is the better upper bound for I.
@@ -44,9 +45,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import LinAlgError, solveh_banded
-from scipy.optimize import brentq, root
+from scipy.optimize import brentq
 
 from .errors import DomainError, NumericError, ValidationError
 from .model import LocalVolSurface
@@ -261,64 +261,60 @@ def rate_function(problem: RateFunctionProblem) -> RateFunctionResult:
 
 
 # ---------------------------------------------------------------------------
-# shooting oracle
+# energy-integral oracle
 # ---------------------------------------------------------------------------
 
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)  # per panel, on [-1, 1]
+
+
 def rate_function_shooting(problem: RateFunctionProblem) -> float:
-    """Solve the Euler-Lagrange BVP by shooting; returns the objective.
+    """I from the energy integral of the Euler-Lagrange path; the name is
+    kept from the shooting solver this replaced, as the benchmark calls it.
 
-    Stationarity of the constrained action gives
-
-        d/dt (g' w(g)) = (1/2) g'^2 w'(g) + lam e^g,   w(g) = sigma(e^g)^-2,
-
-    with g(0) = log y fixed and the natural condition g'(1) = 0.  The
-    two unknowns (initial slope, multiplier lam) are found by a root
-    search on (g'(1), Int e^g - x).  Requires sigma continuously
-    differentiable along the path.  Raises NumericError when no root is
-    bracketed from any of the coarse starting points.
+    The Lagrangian has no explicit t, so E = (1/2) w g'^2 - lam e^g is
+    constant along the stationary path; with g'(1) = 0 the path is monotone
+    from log y to an endpoint b and (1/2) w g'^2 = |lam| |e^g - e^b|.  With
+    A(b) = Int sqrt(w / (2 |e^g - e^b|)) |dg| over [log y, b] and B(b) the
+    same with a factor e^g, sqrt|lam| = A, x = B / A and I = A^2 |x - e^b|.
+    b is the root of B / A = x (brentq), bracketed from log x outward.  In
+    v = sqrt|b - g| the endpoint singularity is gone: each integral is a
+    64-node Gauss-Legendre rule on every panel between sigma's `kinks()`,
+    from one order-1 `_weight` call.  Raises NumericError when no endpoint
+    is bracketed before e^b leaves the floats.
     """
     x, y = problem.x, problem.y
     if math.isclose(x, y, rel_tol=1e-14):
         return 0.0
     surface = problem.surface
-    log_y = math.log(y)
+    log_x, log_y = math.log(x), math.log(y)
+    sgn = 1.0 if x > y else -1.0  # the path's direction
+    kinks = [math.log(k) for k in getattr(surface, "kinks", tuple)()]
 
-    def rhs(t, state, lam):
-        g, p, _, _ = state
-        lvl = math.exp(g)
-        w, wp = _weight(surface, lvl)
-        return [p, (lam * lvl - 0.5 * p * p * wp) / w, lvl, 0.5 * p * p * w]
+    def integrals(b):
+        # e^(b/2) A(b) and e^(b/2) B(b)
+        cuts = np.array(sorted({0.0, math.sqrt(abs(b - log_y))} | {
+            math.sqrt(abs(b - k)) for k in kinks if min(log_y, b) < k < max(log_y, b)}))
+        half = 0.5 * np.diff(cuts)[:, None]
+        v = (cuts[:-1, None] + half * (_NODES + 1.0)).ravel()
+        lvl = np.exp(b - sgn * v * v)
+        # |e^g - e^b| = e^b |expm1(g - b)|, taken from v: g rounds to b at the end
+        f = (half * _WEIGHTS).ravel() * np.sqrt(
+            2.0 * _weight(surface, lvl)[0] * v * v / np.abs(np.expm1(-sgn * v * v)))
+        return f.sum(), f @ lvl
 
-    def integrate(p0: float, lam: float):
-        return solve_ivp(
-            rhs,
-            (0.0, 1.0),
-            [log_y, p0, 0.0, 0.0],
-            args=(lam,),
-            method="RK45",
-            rtol=1e-10,
-            atol=1e-12,
-        )
+    def gap(b):
+        a, ab = integrals(b)
+        return ab / (a * x) - 1.0
 
-    def residuals(v):
-        sol = integrate(v[0], v[1])
-        if not sol.success or not np.all(np.isfinite(sol.y[:, -1])):
-            return np.array([1e3, 1e3])
-        _, p1, a1, _ = sol.y[:, -1]
-        return np.array([p1, (a1 - x) / x])
-
-    # linearized-problem starting guesses, then coarse rescalings
-    d = x / y - 1.0
-    p0_guess = 3.0 * d
-    lam_guess = -3.0 * d * _weight(surface, y)[0] / y
-    for scale in (1.0, 0.5, 2.0, 0.25, 4.0, 0.1):
-        sol = root(residuals, [p0_guess * scale, lam_guess * scale], method="hybr")
-        if sol.success and np.max(np.abs(residuals(sol.x))) < 1e-8:
-            final = integrate(sol.x[0], sol.x[1])
-            return float(final.y[3, -1])
-    raise NumericError(
-        f"shooting found no solution for x={x}, y={y} from any starting point"
-    )
+    # gap(log x) has the sign of y - x: the path's average lies between y and e^b
+    near, far = log_x, 2.0 * log_x - log_y
+    while not sgn * gap(far) > 0.0:  # NaN too
+        near, far = far, 3.0 * far - 2.0 * near  # twice the step, outward
+        if abs(far) > 700.0:  # e^b would leave the floats
+            raise NumericError(f"no endpoint of the optimal path bracketed for x={x}, y={y}")
+    b = brentq(gap, min(near, far), max(near, far), xtol=1e-14)
+    a = integrals(b)[0]
+    return a * a * abs(x * math.exp(-b) - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,15 @@ class CappedPowerVol(LocalVolSurface):
         d2 /= x
         return out + (d2,)
 
+    def kinks(self) -> tuple:
+        """The finite positive levels, ascending, where the power branch
+        meets floor or cap: sigma's slope jumps there."""
+        if self.exponent == 0.0 or self.floor == self.cap:
+            return ()  # sigma is flat
+        with np.errstate(divide="ignore", over="ignore"):
+            xs = self.xref * (np.array([self.floor, self.cap]) / self.sref) ** (-1.0 / self.exponent)
+        return tuple(float(x) for x in np.sort(xs) if 0.0 < x < np.inf)
+
 
 class TabulatedVol(LocalVolSurface):
     """Bilinear interpolation of sigma on a rectangular (t, x) grid.

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 import yaml
+from scipy.optimize import brentq
 
 from asianvol import cli, ldp
-from asianvol.errors import DomainError, ValidationError
+from asianvol.errors import DomainError, NumericError, ValidationError
 from asianvol.ldp import (
     DecayReport,
     RateFunctionProblem,
@@ -265,6 +266,10 @@ class TestHardTargets:
         # the path crosses the cap's kink at x = 48, where w' jumps
         res = rate_function(problem_from_surface(STEEP, 60.0, 100.0, grid_n=200))
         assert not res.converged
+        # the oracle, split at the kink, pins the stall's error
+        oracle = rate_function_shooting(problem_from_surface(STEEP, 60.0, 100.0))
+        assert abs(oracle - 4.5347149) / 4.5347149 < 1e-7
+        assert abs(res.value - oracle) / oracle < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +296,64 @@ class TestShooting:
             direct = rate_function(bs_problem(x, grid_n=200)).value
             shoot = rate_function_shooting(bs_problem(x))
             assert abs(direct - shoot) / shoot < 1e-3
+
+
+class TestEnergyOracle:
+    def test_cost_at_most_200_surface_calls_of_64_levels(self):
+        surface = _RecordingSkew()
+        rate_function_shooting(problem_from_surface(surface, 110.0, 100.0))
+        assert 0 < len(surface.calls) <= 200
+        assert min(len(lvl) for _, lvl in surface.calls) >= 64
+
+    def test_steep_value_needs_the_kink_split(self, monkeypatch):
+        # x = 40 takes the path across the cap's kink at 48.07
+        problem = problem_from_surface(STEEP, 40.0, 100.0)
+        assert abs(rate_function_shooting(problem) - 11.0901424) / 11.0901424 < 1e-7
+        monkeypatch.setattr(CappedPowerVol, "kinks", lambda self: ())
+        assert abs(rate_function_shooting(problem) - 11.0901424) / 11.0901424 > 1e-5
+
+    def test_no_endpoint_is_a_numeric_error(self):
+        # sigma rises as x^3 to a cap of 1e300, where w = sigma^-2 underflows
+        # to 0: the path crosses that branch in no time, so no endpoint b
+        # gives an average of 400
+        surface = CappedPowerVol(sref=0.2, xref=100.0, exponent=-3.0, floor=0.05, cap=1e300)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="bracketed"):
+            rate_function_shooting(problem_from_surface(surface, 400.0, 100.0))
+
+
+# ---------------------------------------------------------------------------
+# flat-sigma closed form
+# ---------------------------------------------------------------------------
+
+def flat_closed_form(sigma, x, y):
+    """I(x, y) for flat sigma (Pirjol & Zhu, SIAM J. Financial Math. 7, 2016).
+
+    With k = x / y: for k >= 1 solve sinh(b) / b = k, then
+    I = (b^2 / 2 - b tanh(b / 2)) / sigma^2; for k < 1 solve
+    sin(2c) / (2c) = k, then I = 2c (tan(c) - c) / sigma^2.
+    """
+    k = x / y
+    if k >= 1.0:
+        b = brentq(lambda b: math.sinh(b) / b - k, 1e-9, 50.0, xtol=1e-15)
+        return (0.5 * b * b - b * math.tanh(0.5 * b)) / sigma**2
+    c = brentq(lambda c: math.sin(2.0 * c) / (2.0 * c) - k, 1e-9, 0.5 * math.pi, xtol=1e-15)
+    return 2.0 * c * (math.tan(c) - c) / sigma**2
+
+
+class TestFlatClosedForm:
+    """Both solvers against the closed form, sigma 0.3, y 100."""
+
+    XS = [40.0, 80.0, 90.0, 110.0, 125.0, 400.0]
+
+    @pytest.mark.parametrize("x", XS)
+    def test_oracle_within_1e10(self, x):
+        exact = flat_closed_form(0.3, x, 100.0)
+        assert abs(rate_function_shooting(bs_problem(x)) - exact) / exact <= 1e-10
+
+    @pytest.mark.parametrize("x", XS)
+    def test_direct_grid_200_within_1e4(self, x):
+        exact = flat_closed_form(0.3, x, 100.0)
+        assert abs(rate_function(bs_problem(x, grid_n=200)).value - exact) / exact <= 1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,45 @@ class TestCappedPowerVol:
             CappedPowerVol(sref=0.2, xref=100.0, exponent=0.3, floor=0.5, cap=0.1)
 
 
+class TestCappedPowerKinks:
+    """kinks(): the levels where the power branch meets floor or cap."""
+
+    STEEP = CappedPowerVol(sref=0.2, xref=100.0, exponent=1.5, floor=0.05, cap=0.6)
+
+    def test_steep_cap_and_floor_levels(self):
+        # 100 (0.6 / 0.2)^(-1/1.5) and 100 (0.05 / 0.2)^(-1/1.5)
+        np.testing.assert_allclose(self.STEEP.kinks(), [48.075, 251.98], rtol=1e-4)
+        np.testing.assert_allclose(self.STEEP.kinks(), [100.0 * 3.0 ** (-2.0 / 3.0),
+                                                        100.0 * 4.0 ** (2.0 / 3.0)], rtol=1e-14)
+
+    @pytest.mark.parametrize("surface, n_kinks", [
+        (CappedPowerVol(sref=0.2, xref=100.0, exponent=0.0, floor=0.05, cap=1.0), 0),
+        (CappedPowerVol(sref=0.2, xref=100.0, exponent=0.3, floor=0.2, cap=0.2), 0),
+        (CappedPowerVol(sref=0.2, xref=100.0, exponent=1.5, floor=0.0, cap=0.6), 1),
+        (CappedPowerVol(sref=0.2, xref=100.0, exponent=-1.5, floor=0.0, cap=0.6), 1),
+        (CappedPowerVol(sref=0.2, xref=100.0, exponent=1.5, floor=0.05, cap=np.inf), 1),
+    ], ids=["exponent-0", "floor-is-cap", "floor-0", "rising-floor-0", "cap-inf"])
+    def test_no_spurious_kink(self, surface, n_kinks):
+        kinks = surface.kinks()
+        assert len(kinks) == n_kinks
+        assert all(0.0 < k < np.inf for k in kinks)
+
+    @pytest.mark.parametrize("surface", [
+        STEEP, SKEW, CappedPowerVol(sref=0.2, xref=100.0, exponent=-1.5, floor=0.0, cap=0.6),
+    ], ids=["steep", "skew", "rising"])
+    def test_one_sided_slopes_differ_at_each_kink(self, surface):
+        for k in surface.kinks():
+            h = 1e-6 * k
+            s = surface.sigma(0.0, k)
+            left = (s - surface.sigma(0.0, k - h)) / h
+            right = (surface.sigma(0.0, k + h) - s) / h
+            # one side is clipped (slope 0), the other on the power branch,
+            # whose slope is -exponent sigma / x
+            assert min(abs(left), abs(right)) < 1e-6 * s / k
+            assert abs(left - right) > 0.5 * abs(surface.exponent) * s / k
+            assert min(abs(s - surface.floor), abs(s - surface.cap)) <= 1e-14 * s
+
+
 class TestOtherSurfaces:
     def test_constant(self):
         s = ConstantVol(0.2)
