@@ -11,6 +11,9 @@ where ``vol`` is the maturity-dependent *averaged* volatility
     asian_vol:    sigma_A(T) = sqrt( (1/T^3) * Int_0^T sigma(t,S0)^2 (T-t)^2 dt ),
     european_vol: sigma_E(T) = sqrt( (1/T)   * Int_0^T sigma(t,S0)^2 dt ).
 
+Both come from one Gauss-Legendre rule in u = sqrt(t/T) (a sqrt(t) term of
+sigma becomes polynomial) split at the surface's ``time_kinks()``.
+
 For a constant surface sigma_A = sigma / sqrt(3): an Asian option is priced
 by the Bachelier formula at one-third of the European variance.  Deltas at
 the same order are E[phi(S0 + s Z) Z] / s, evaluated here in the
@@ -23,7 +26,8 @@ quadrature everywhere else.  The quadrature engine is kink-aware: payoffs
 declare the locations where they lose smoothness and the integrator splits
 and grades panels toward those points, so non-smooth payoffs are still
 integrated to near machine accuracy rather than the few-digit accuracy a
-plain Hermite rule would deliver.
+plain Hermite rule would deliver.  Both rules evaluate sigma or the payoff
+once per order level, doubling the order until successive levels agree.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _VOL_TOL = 1e-11  # relative accuracy of the averaged-vol and vol-matching integrals
+_VOL_MAX_ORDER = 512  # Gauss-Legendre order per panel at the last averaged-vol level
 _QUAD_TOL = 1e-10  # agreement of successive levels in gaussian_expectation
 
 
@@ -82,49 +87,47 @@ class VolQuote:
     est_error: float
 
 
-def _vol_integral(surface: LocalVolSurface, S0: float, T: float, weighted: bool):
+def _vol_integrals(surface: LocalVolSurface, S0: float, T: float):
+    """(Int_0^T sigma^2 (T-t)^2 dt, Int_0^T sigma^2 dt, nodes, error) by
+    Gauss-Legendre in u = sqrt(t/T), t = T u^2, dt = 2T u du."""
     if not T > 0.0:
         raise DomainError(f"averaged vol needs T > 0, got {T}")
-    if weighted:
-        integrand = lambda t: surface.sigma(t, S0) ** 2 * (T - t) ** 2
-        scale = T**3 / 3.0
-    else:
-        integrand = lambda t: surface.sigma(t, S0) ** 2
-        scale = T
-    # absolute tolerance declared relative to the integral's natural scale
-    epsabs = _VOL_TOL * max(scale * 0.04, 1e-300)
-    val, err, info = quad(integrand, 0.0, T, epsabs=epsabs, epsrel=_VOL_TOL, limit=200,
-                          full_output=True)[:3]
-    if err > 100 * max(epsabs, _VOL_TOL * abs(val)):
-        raise NumericError(
-            f"averaged-vol quadrature did not converge: estimated error {err:.3e}"
-        )
-    return val, err, info["neval"]
+    kinks = sorted(k for k in surface.time_kinks() if 0.0 < k < T)
+    cuts = np.sqrt(np.array([0.0, *kinks, T]) / T)
+    half, mid = 0.5 * np.diff(cuts)[:, None], 0.5 * (cuts[1:] + cuts[:-1])[:, None]
+    # absolute tolerance declared relative to each integral's natural scale
+    floor = _VOL_TOL * np.maximum([T**3 / 3.0 * 0.04, T * 0.04], 1e-300)
+    prev, nodes, m = None, 0, 8
+    while m <= _VOL_MAX_ORDER:
+        zs, ws = _legendre_rule(m)
+        u = (mid + half * zs).ravel()
+        t = T * u * u
+        w = (half * ws).ravel() * 2.0 * T * u * surface.sigma(t, S0) ** 2
+        vals = np.array([w @ (T - t) ** 2, w.sum()])
+        nodes += u.size
+        if prev is not None:
+            err = np.abs(vals - prev)
+            if np.all(err <= np.maximum(floor, _VOL_TOL * vals)):
+                return vals[0], vals[1], nodes, float(err.max())
+        prev, m = vals, 2 * m
+    raise NumericError(f"averaged-vol quadrature did not reach tol={_VOL_TOL:g} by order-"
+                       f"{_VOL_MAX_ORDER} panels; declare sigma's jumps in t in time_kinks()")
 
 
 def asian_vol(surface: LocalVolSurface, S0: float, T: float) -> float:
-    """sqrt((1/T^3) Int_0^T sigma(t,S0)^2 (T-t)^2 dt) by adaptive quadrature."""
-    val, _, _ = _vol_integral(surface, S0, T, weighted=True)
-    return math.sqrt(val / T**3)
+    """sqrt((1/T^3) Int_0^T sigma(t,S0)^2 (T-t)^2 dt) by kink-split Gauss-Legendre."""
+    return math.sqrt(_vol_integrals(surface, S0, T)[0] / T**3)
 
 
 def european_vol(surface: LocalVolSurface, S0: float, T: float) -> float:
-    """sqrt((1/T) Int_0^T sigma(t,S0)^2 dt) by adaptive quadrature."""
-    val, _, _ = _vol_integral(surface, S0, T, weighted=False)
-    return math.sqrt(val / T)
+    """sqrt((1/T) Int_0^T sigma(t,S0)^2 dt) by kink-split Gauss-Legendre."""
+    return math.sqrt(_vol_integrals(surface, S0, T)[1] / T)
 
 
 def vol_quote(surface: LocalVolSurface, S0: float, T: float) -> VolQuote:
     """Both averaged vols at one maturity, with quadrature metadata."""
-    va, ea, na = _vol_integral(surface, S0, T, weighted=True)
-    ve, ee, ne = _vol_integral(surface, S0, T, weighted=False)
-    return VolQuote(
-        asian_vol=math.sqrt(va / T**3),
-        european_vol=math.sqrt(ve / T),
-        maturity=T,
-        nodes=na + ne,
-        est_error=float(max(ea, ee)),
-    )
+    va, ve, nodes, err = _vol_integrals(surface, S0, T)
+    return VolQuote(math.sqrt(va / T**3), math.sqrt(ve / T), T, nodes, err)
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +180,11 @@ def _graded_edges(a: float, b: float, toward_a: bool, toward_b: bool):
 def _panel_quad(f, edges: Sequence[float], m: int):
     """Composite Gauss-Legendre of f(z)*phi(z) over the given panel edges."""
     zs, ws = _legendre_rule(m)
-    total = 0.0
-    nodes = 0
     e = np.asarray(edges)
     half = 0.5 * (e[1:] - e[:-1])
-    mid = 0.5 * (e[1:] + e[:-1])
-    for h, c in zip(half, mid):
-        z = c + h * zs
-        total += h * float(np.dot(ws, np.asarray(f(z), dtype=float) * _phi(z)))
-        nodes += m
-    return total, nodes
+    z = 0.5 * (e[1:] + e[:-1])[:, None] + half[:, None] * zs
+    fz = np.asarray(f(z.ravel()), dtype=float).reshape(z.shape)
+    return float(half @ ((fz * _phi(z)) @ ws)), z.size
 
 
 def gaussian_expectation(f: Callable, kinks: Sequence[float] = ()) -> tuple:

@@ -1071,17 +1071,24 @@ def main(argv=None) -> int:
                 raise ValidationError(
                     "check takes no overrides; edit the criterion configs instead"
                 )
-            return _cmd_check(args.criteria, args.configs_dir, threads)
-        cfg = _resolve(args.command, args.config, overrides)
-        outdir = Path(cfg["output"]["dir"])
-        outdir.mkdir(parents=True, exist_ok=True)
-        # the echoed config describes the experiment; where the files land
-        # (like the thread count) is an execution detail, not part of it
-        echo = {k: v for k, v in cfg.items() if k != "output"}
-        resolved = yaml.safe_dump(_plain(echo), sort_keys=True, default_flow_style=False)
-        (outdir / "resolved.yaml").write_text(resolved)
-        _COMMAND_FN[args.command](cfg, threads, outdir, resolved)
-        return 0
+            rc = _cmd_check(args.criteria, args.configs_dir, threads)
+        else:
+            cfg = _resolve(args.command, args.config, overrides)
+            outdir = Path(cfg["output"]["dir"])
+            outdir.mkdir(parents=True, exist_ok=True)
+            # the echoed config describes the experiment; where the files land
+            # (like the thread count) is an execution detail, not part of it
+            echo = {k: v for k, v in cfg.items() if k != "output"}
+            resolved = yaml.safe_dump(_plain(echo), sort_keys=True, default_flow_style=False)
+            (outdir / "resolved.yaml").write_text(resolved)
+            _COMMAND_FN[args.command](cfg, threads, outdir, resolved)
+            rc = 0
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return rc
+    except BrokenPipeError:
+        # the reader left (`check | head -1`): devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -124,7 +124,8 @@ class LocalVolSurface:
     # shape, t 0-d or of x's shape): _sigma(t, x), the hot order-0 path, and
     # _coefs(t, x, order), the tuple (sigma, a', a'')[:order + 1] for order 1
     # or 2 in closed form, building a'' only for order 2, in arrays that
-    # share no memory
+    # share no memory; a family whose sigma has kinks or jumps in t lists
+    # those times in time_kinks(), which time quadratures split at
 
     def sigma(self, t, x, order: int = 0):
         if order == 0:
@@ -136,6 +137,9 @@ class LocalVolSurface:
 
     def dcoef_dxx(self, t, x):
         return _evaluate(lambda t, x: self._coefs(t, x, 2)[2], t, x)
+
+    def time_kinks(self) -> tuple:
+        return ()
 
     # metadata ------------------------------------------------------------
 
@@ -332,6 +336,9 @@ class TabulatedVol(LocalVolSurface):
         beta = ((1 - wt) * (v01 - v00) + wt * (v11 - v10)) / (self.xs[ix + 1] - self.xs[ix])
         out = (sig, sig + beta * x)
         return out if order == 1 else out + (2.0 * beta,)
+
+    def time_kinks(self):
+        return tuple(self.ts.tolist())  # sigma is piecewise linear in t
 
     @property
     def is_time_dependent(self):

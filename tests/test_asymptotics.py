@@ -22,8 +22,16 @@ from asianvol.asymptotics import (
     power_leading_terms,
     vol_quote,
 )
-from asianvol.errors import DomainError, ValidationError
-from asianvol.model import ConstantVol, MarketParams, PayoffSpec, TimeScaledVol
+from asianvol.errors import DomainError, NumericError, ValidationError
+from asianvol.model import (
+    CappedPowerVol,
+    ConstantVol,
+    LocalVolSurface,
+    MarketParams,
+    PayoffSpec,
+    TabulatedVol,
+    TimeScaledVol,
+)
 
 VOL_A_02 = 0.2 / math.sqrt(3.0)  # averaged (Asian) vol of a flat 20% surface
 
@@ -94,6 +102,102 @@ class TestAveragedVols:
         with pytest.raises(DomainError):
             asian_vol(ConstantVol(0.2), 100.0, 0.0)
 
+    def test_zero_surface_gives_zero(self):
+        q = vol_quote(ConstantVol(0.0), 100.0, 0.5)
+        assert q.asian_vol == 0.0 and q.european_vol == 0.0
+
+
+def _piecewise_linear_moments(knots, levels, T):
+    """(Int_0^T s^2 (T-t)^2 dt, Int_0^T s^2 dt) in closed form for s(t) linear
+    between knots and constant beyond the first and last, by exact
+    polynomial integration on each piece."""
+    P = np.polynomial.Polynomial
+    knots = [0.0, *knots, max(T, knots[-1])]
+    levels = [levels[0], *levels, levels[-1]]
+    weighted = plain = 0.0
+    for t0, t1, v0, v1 in zip(knots, knots[1:], levels, levels[1:]):
+        lo, hi = min(t0, T), min(t1, T)
+        if hi <= lo:
+            continue
+        s2 = P([v0 - (v1 - v0) * t0 / (t1 - t0), (v1 - v0) / (t1 - t0)]) ** 2
+        weighted += np.diff((s2 * P([T, -1.0]) ** 2).integ()([lo, hi]))[0]
+        plain += np.diff(s2.integ()([lo, hi]))[0]
+    return weighted, plain
+
+
+class _UndeclaredJump(LocalVolSurface):
+    """sigma jumps from 0.2 to 0.3 at t = 0.37 and does not say so."""
+
+    family = "undeclared-jump"
+
+    def _sigma(self, t, x):
+        return np.where(t < 0.37, 0.2, 0.3) * np.ones_like(x)
+
+
+class TestVolRule:
+    """The kink-split Gauss-Legendre rule in u = sqrt(t/T) against closed forms."""
+
+    XS = [60.0, 80.0, 100.0, 120.0, 140.0]
+
+    def tabulated(self, ts, column):
+        # sigma at the grid level x = 100 is ``column``; other levels vary so
+        # that a wrong x lookup would show
+        values = [[c * (1.0 + 0.1 * (2 - j)) for j in range(5)] for c in column]
+        return TabulatedVol(ts, self.XS, values)
+
+    def check(self, surface, T, weighted, plain):
+        q = vol_quote(surface, 100.0, T)
+        assert q.asian_vol == pytest.approx(math.sqrt(weighted / T**3), rel=1e-13)
+        assert q.european_vol == pytest.approx(math.sqrt(plain / T), rel=1e-13)
+        assert asian_vol(surface, 100.0, T) == q.asian_vol
+        assert european_vol(surface, 100.0, T) == q.european_vol
+
+    @pytest.mark.parametrize("T", [0.45, 0.5, 0.83, 1.0])
+    def test_tabulated_with_an_interior_t_node(self, T):
+        ts, column = [0.0, 0.3, 0.7, 1.0], [0.21, 0.26, 0.18, 0.24]
+        self.check(self.tabulated(ts, column), T, *_piecewise_linear_moments(ts, column, T))
+
+    @pytest.mark.parametrize("T", [0.1, 0.4, 0.6, 1.5])
+    def test_tabulated_extrapolates_flat_at_both_ends(self, T):
+        ts, column = [0.2, 0.6], [0.3, 0.15]
+        self.check(self.tabulated(ts, column), T, *_piecewise_linear_moments(ts, column, T))
+
+    @pytest.mark.parametrize("T", [0.003, 0.05, 0.37, 1.0, 4.0])
+    def test_time_scaled_mixture(self, T):
+        # sigma^2 = sum_p a_p t^p with p in {0, 1/2, 1, 3/2, 2}; Int_0^T t^p
+        # (T-t)^2 dt = 2 T^(p+3) / ((p+1)(p+2)(p+3)) and Int_0^T t^p dt = T^(p+1)/(p+1)
+        c0, c1, c2 = 0.2, -0.07, 0.11
+        terms = {0.0: c0 * c0, 0.5: 2 * c0 * c2, 1.0: c2 * c2 + 2 * c0 * c1,
+                 1.5: 2 * c1 * c2, 2.0: c1 * c1}
+        weighted = sum(a * 2.0 * T ** (p + 3) / ((p + 1) * (p + 2) * (p + 3))
+                       for p, a in terms.items())
+        plain = sum(a * T ** (p + 1) / (p + 1) for p, a in terms.items())
+        self.check(TimeScaledVol(c0, c1, c2), T, weighted, plain)
+
+    @pytest.mark.parametrize("surface", [
+        ConstantVol(0.2),
+        TimeScaledVol(0.2, 0.1, 0.05),
+        CappedPowerVol(sref=0.2, xref=100.0, exponent=0.5, floor=0.05, cap=0.6),
+        TabulatedVol([0.0, 0.25, 0.5, 1.0], [60.0, 80.0, 100.0, 120.0, 140.0],
+                     [[0.30, 0.25, 0.20, 0.18, 0.17], [0.29, 0.24, 0.21, 0.19, 0.18],
+                      [0.28, 0.24, 0.22, 0.20, 0.19], [0.27, 0.23, 0.22, 0.21, 0.20]]),
+    ], ids=lambda s: s.family)
+    def test_node_bound(self, surface):
+        for T in (0.01, 0.1, 0.25, 0.518, 1.0, 1.02):
+            assert vol_quote(surface, 100.0, T).nodes <= 128, T
+
+    def test_undeclared_jump_in_t_raises(self):
+        for fn in (vol_quote, asian_vol, european_vol):
+            with pytest.raises(NumericError, match="time_kinks"):
+                fn(_UndeclaredJump(), 100.0, 1.0)
+
+    def test_declared_jump_is_exact(self):
+        surface = _UndeclaredJump()
+        surface.time_kinks = lambda: (0.37,)
+        # Int 0.2^2 (1-t)^2 on [0, 0.37] plus 0.3^2 (1-t)^2 on [0.37, 1]
+        weighted = (0.04 * (1.0 - 0.63**3) + 0.09 * 0.63**3) / 3.0
+        self.check(surface, 1.0, weighted, 0.04 * 0.37 + 0.09 * 0.63)
+
 
 # ---------------------------------------------------------------------------
 # quadrature engine
@@ -122,6 +226,31 @@ class TestGaussianExpectation:
             lambda z: np.maximum(z, 0.0) ** 0.75, kinks=(0.0,)
         )
         assert np.isclose(val, 0.5 * ABS_MOMENTS[0.75], rtol=1e-12)
+
+    def test_one_call_per_order_level(self):
+        sizes = []
+
+        def f(z):
+            sizes.append(np.size(z))
+            return np.abs(z) ** 0.75
+
+        val, info = gaussian_expectation(f, kinks=(0.0,))
+        assert np.isclose(val, ABS_MOMENTS[0.75], rtol=1e-12)
+        probes, levels = sizes[:4], sizes[4:]
+        assert probes == [1, 1, 1, 1]
+        # the order doubles from 16: each later level has twice the nodes
+        assert 2 <= len(levels) <= 4
+        assert levels == [levels[0] * 2**i for i in range(len(levels))]
+        assert levels[-1] == info.nodes
+
+    @pytest.mark.parametrize("payoff, nodes", [
+        (PayoffSpec("power-call", strike=100.0, exponent=0.5), 1600),
+        (PayoffSpec("power-call", strike=97.0, exponent=0.5), 1600),
+        (PayoffSpec("capped-power", strike=100.0, exponent=0.3, cap_width=10.0), 3200),
+    ])
+    def test_node_counts_are_unchanged(self, payoff, nodes):
+        for fn in (asym_price, asym_delta):
+            assert fn(payoff, 100.0, VOL_A_02, 0.25).quadrature.nodes == nodes
 
     def test_kink_outside_window(self):
         # declared kink far beyond 8 standard deviations: integrand is

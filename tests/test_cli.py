@@ -1,6 +1,12 @@
 """Command-line behavior: config resolution, overrides, outputs, exit codes."""
 
+import contextlib
+import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,6 +263,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: criterion config") and "not valid YAML" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_exits_1_without_a_traceback(self, unbuffered):
+        # the reader is gone before the first line, as in `asianvol check | head -0`
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+                   PYTHONUNBUFFERED=unbuffered)
+        proc = subprocess.Popen([sys.executable, "-m", "asianvol.cli", "check", "1", "9"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == ""
+
+    def test_in_process_stdout_may_be_a_string_buffer(self):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(["check", "1"]) == 0
+        assert buf.getvalue().startswith("criterion 01 PASS")
 
     def test_help_exits_0(self):
         assert cli.main(["--help"]) == 0

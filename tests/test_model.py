@@ -157,6 +157,13 @@ class TestOtherSurfaces:
         s = TimeScaledVol(c0=0.2, c1=0.05)
         assert np.isclose(s.sigma(0.5, 1.0), 0.225, rtol=1e-15)
 
+    def test_time_kinks(self):
+        # only the table's t nodes break sigma's smoothness in t
+        for s in (ConstantVol(0.2), TimeScaledVol(0.2, 0.1, 0.05), SKEW):
+            assert s.time_kinks() == ()
+        tab = TabulatedVol([0.1, 0.25, 0.5], [90.0, 110.0], [[0.2, 0.2]] * 3)
+        assert tab.time_kinks() == (0.1, 0.25, 0.5)
+
     def test_tabulated_bilinear_interpolation(self):
         s = TabulatedVol(
             ts=[0.0, 1.0], xs=[50.0, 150.0], values=[[0.2, 0.3], [0.4, 0.5]]
