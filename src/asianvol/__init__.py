@@ -9,6 +9,7 @@ The public surface is re-exported here; the implementation lives in:
 * :mod:`asianvol.approxlab`   -- L^p distance surfaces between process pairs
 * :mod:`asianvol.ldp`         -- large-deviations rate function solvers
 * :mod:`asianvol.harness`     -- convergence studies and comparisons
+* :mod:`asianvol.acceptance`  -- the acceptance battery and its config key tables
 * :mod:`asianvol.cli`         -- command-line entry point
 """
 

@@ -537,6 +537,37 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
+_KIND = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+         list: "a non-empty list", dict: "a mapping"}
+
+
+def _check_type(name: str, value, proto, what: str = "config"):
+    """``value`` checked against the prototype ``proto`` and returned in its
+    type; an error names ``what`` and the dotted key ``name``.  A float takes
+    an int (never a bool) and returns it as a float.  A list is non-empty and
+    its items match its first item (a mapping item as ``name[i]``).  A mapping
+    has exactly the prototype's keys, each checked as ``name.key``, or any keys
+    if the prototype is ``{}``."""
+    ok = _is_real(value) if isinstance(proto, float) else type(value) is type(proto)
+    if not ok or (isinstance(proto, list) and not value):
+        raise ValidationError(f"{what} key '{name}' must be {_KIND[type(proto)]}, got {value!r}")
+    if isinstance(proto, float):
+        return float(value)
+    if isinstance(proto, list):
+        item = proto[0]
+        return [_check_type(f"{name}[{i}]" if isinstance(item, dict) else name, v, item, what)
+                for i, v in enumerate(value)]
+    if not (isinstance(proto, dict) and proto):
+        return value
+    out = {}
+    for key in {**proto, **value}:
+        path = f"{name}.{key}" if name else str(key)
+        if key not in proto or key not in value:
+            raise ValidationError(f"{what} has {'no' if key in proto else 'unknown'} key '{path}'")
+        out[key] = _check_type(path, value[key], proto[key], what)
+    return out
+
+
 def _real_array(family: str, key: str, value, ndim: int = 1) -> np.ndarray:
     """``value`` as a float array: a list of real numbers (ndim 1) or a list
     of equal-length such lists (ndim 2).  Anything else, a string or a bool

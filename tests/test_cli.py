@@ -101,6 +101,9 @@ class TestConfigResolution:
              "'values'"),
             (["vols", "--output.dir=null"], "'output.dir'"),
             (["vols", "--output.dir=[1]"], "'output.dir'"),
+            (["compare", "--experiment.t_grid=[]"], "'experiment.t_grid'"),
+            (["verify-approx", "--experiment.pair=[]"], "'experiment.pair'"),
+            (["price", "--experiment.method=asym", "--experiment.style=5"], "'experiment.style'"),
         ],
     )
     def test_values_of_the_wrong_type_are_named(self, tmp_path, capsys, argv, named):
