@@ -2,8 +2,10 @@
 
 Each criterion is one row of ``_CRITERIA``: its function, its scoreboard
 title, and the prototype of its config (``model._check_type``), which every
-key must match before the criterion runs.  ``{}`` is a mapping that a family
-factory or the CLI checks.  A criterion reads each value in its declared type.
+key must match before the criterion runs.  A surface or market block is typed
+by its ``model`` checker into its object; only c10's subject ``config`` is the
+``{}`` of any mapping, because the CLI checks it.  A criterion reads each value
+in its declared type.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .asymptotics import (abs_moment, asym_delta, asym_price, delta_parity_and_i
 from .errors import ValidationError
 from .harness import asymptotics_error_study, compare_experiment
 from .ldp import decay_slope, problem_from_surface, rate_function, rate_function_shooting
-from .model import (ConstantVol, MarketParams, PayoffSpec, _check_type, market_from_config,
-                    surface_from_config)
+from .model import (_MARKET, ConstantVol, MarketParams, PayoffSpec, _check_type,
+                    _market_block, _surface_block)
 from .montecarlo import SimConfig, mc_delta_fd, mc_delta_malliavin, mc_price
 
 __all__ = ["run_criterion"]
@@ -169,10 +171,9 @@ def _crit_06(c, threads):
     ok = True
     bits = []
     for entry in c["pairs"]:
-        surface = surface_from_config(entry["surface"])
-        market = market_from_config(entry["market"])
         pair = (entry["a"], entry["b"])
-        res = refined_fit(surface, market, pair, c["p"], grid, sim, slope_tol=c["slope_tol"])
+        res = refined_fit(entry["surface"], entry["market"], pair, c["p"], grid, sim,
+                          slope_tol=c["slope_tol"])
         fit, fit2 = res["fit"], res["fit_refined"]
         good = (
             res["stable"]
@@ -197,7 +198,6 @@ def _crit_07(c, threads):
         raise ValidationError("criterion 7 config key 'richardson_ns' needs at least 3 grid "
                               f"sizes to give a contraction ratio, got {c['richardson_ns']}")
     surface = ConstantVol(c["sigma"])
-    skew = surface_from_config(c["skew_surface"])
     parts, oks = [], []
 
     def solve(surf, x, grid_n=n):
@@ -221,7 +221,7 @@ def _crit_07(c, threads):
 
     # direct minimizer against the energy-integral oracle, level-free and skewed
     worst_or = 0.0
-    for surf, x in [(surface, x) for x in c["xs_oracle"]] + [(skew, c["x_skew"])]:
+    for surf, x in [(surface, x) for x in c["xs_oracle"]] + [(c["skew_surface"], c["x_skew"])]:
         prob = problem_from_surface(surf, x, y, grid_n=n)
         direct = rate_function(prob).value
         oracle = rate_function_shooting(prob)
@@ -410,8 +410,6 @@ def _crit_10(c, threads):
     )
 
 
-_MARKET = {"S0": 0.0, "r": 0.0, "q": 0.0}  # the keys `_market` reads
-
 _CRITERIA = {
     1: (_crit_01, "constant-vol ratio",
         {"S0": 0.0, "sigmas": [0.0], "t_lo": 0.0, "t_hi": 0.0, "n_t": 0, "tol": 0.0}),
@@ -430,10 +428,10 @@ _CRITERIA = {
     6: (_crit_06, "process-pair closeness order",
         {"p": 0.0, "t_lo": 0.0, "t_hi": 0.0, "n_t": 0, "n_paths": 0, "steps": 0, "seed": 0,
          "min_slope": 0.0, "min_r2": 0.0, "slope_tol": 0.0,
-         "pairs": [{"a": "", "b": "", "surface": {}, "market": {}}]}),
+         "pairs": [{"a": "", "b": "", "surface": _surface_block, "market": _market_block}]}),
     7: (_crit_07, "rate-function battery",
         {"sigma": 0.0, "y": 0.0, "grid_n": 0, "trivial_tol": 0.0, "scale": 0.0,
-         "scaling_tol": 0.0, "xs_oracle": [0.0], "x_skew": 0.0, "skew_surface": {},
+         "scaling_tol": 0.0, "xs_oracle": [0.0], "x_skew": 0.0, "skew_surface": _surface_block,
          "oracle_tol": 0.0, "monotone_grid": [0.0], "monotone_tol": 0.0, "richardson_ns": [0],
          "contraction_min": 0.0, "pure_I": 0.0, "pure_rtol": 0.0, "prefactor_rtol": 0.0,
          "decay": {"K": 0.0, "t_grid": [0.0], "n_paths_base": 0, "steps": 0, "seed": 0}}),

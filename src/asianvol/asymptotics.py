@@ -90,8 +90,8 @@ class VolQuote:
 def _vol_integrals(surface: LocalVolSurface, S0: float, T: float):
     """(Int_0^T sigma^2 (T-t)^2 dt, Int_0^T sigma^2 dt, nodes, error) by
     Gauss-Legendre in u = sqrt(t/T), t = T u^2, dt = 2T u du."""
-    if not T > 0.0:
-        raise DomainError(f"averaged vol needs T > 0, got {T}")
+    if not 0.0 < T < np.inf:
+        raise DomainError(f"averaged vol needs a finite T > 0, got {T}")
     kinks = sorted(k for k in surface.time_kinks() if 0.0 < k < T)
     cuts = np.sqrt(np.array([0.0, *kinks, T]) / T)
     half, mid = 0.5 * np.diff(cuts)[:, None], 0.5 * (cuts[1:] + cuts[:-1])[:, None]

@@ -19,9 +19,11 @@ file and a flag follow one merge rule: a mapping merges key by key into
 its block, except that the ``model.surface`` and ``payoff`` blocks, whose
 keys depend on the chosen family, are taken whole; and a ``family`` key
 that switches family starts its block afresh -- give the new family's keys
-after it.  Unknown keys are rejected by their full dotted name, a block
-given anything but a mapping by its key, and a number, flag, string or list
-of the wrong type, or an empty list, by its key.
+after it.  The resolved config is typed as one value by ``model._check_type``
+(family and market blocks by their checkers): an unknown or missing key, a
+value of the wrong type or an empty list is named by its full dotted key, as
+in ``config key 'model.surface.sigma' must be a number, got 'abc'``, and a
+block given anything but a mapping by its key.
 
 Every run writes ``resolved.yaml`` (the fully resolved configuration) into
 the output directory and repeats it as a ``#``-comment header inside each
@@ -54,7 +56,7 @@ from .errors import DomainError, NumericError, ValidationError
 from .harness import DEFAULT_T_GRID, asym_price_value, asymptotics_error_study, compare_experiment
 from .approxlab import refined_fit
 from .ldp import problem_from_surface, rate_function, rate_function_shooting
-from .model import _check_type, market_from_config, payoff_from_config, surface_from_config
+from .model import _check_type, _market_block, _payoff_block, _surface_block
 from .montecarlo import SimConfig, mc_delta_fd, mc_delta_malliavin, mc_price
 
 __all__ = ["main", "run_criterion"]
@@ -125,7 +127,7 @@ def _set(cfg: dict, dotted: str, value) -> None:
         if not isinstance(node, dict) or part not in node:
             raise ValidationError(f"unknown config key '{'.'.join(head[: i + 1])}'")
         node = node[part]
-    # family blocks accept new keys (the family factories validate them)
+    # family blocks accept new keys (their checkers type them)
     in_family = ".".join(head) in _FAMILY_BLOCKS
     if not isinstance(node, dict) or (leaf not in node and not in_family):
         raise ValidationError(f"unknown config key '{dotted}'")
@@ -137,7 +139,7 @@ def _set(cfg: dict, dotted: str, value) -> None:
                 _set(cfg, f"{dotted}.{key}", val)
             return
     # a family switch would otherwise leave the old family's keys behind,
-    # which the new factory rejects
+    # which the new family's checker rejects
     if in_family and leaf == "family" and value != node.get("family"):
         node.clear()
     node[leaf] = copy.deepcopy(value)
@@ -171,7 +173,8 @@ def _parse_overrides(extras) -> list:
     return out
 
 
-def _resolve(command: str, config_path, overrides) -> dict:
+def _resolve(command: str, config_path, overrides) -> tuple:
+    """The config as given, for the echo, and typed, model and payoff blocks as objects."""
     cfg = copy.deepcopy(_BASE_DEFAULTS)
     cfg["experiment"] = copy.deepcopy(_EXPERIMENT_DEFAULTS[command])
     if config_path is not None:
@@ -185,10 +188,9 @@ def _resolve(command: str, config_path, overrides) -> dict:
                 f"override --{dotted} has an invalid YAML value: {exc}"
             ) from exc
         _set(cfg, dotted, value)
-    defaults = {**_BASE_DEFAULTS, "experiment": _EXPERIMENT_DEFAULTS[command]}
-    for block in ("mc", "experiment", "output"):
-        _check_type(block, cfg[block], defaults[block])  # the echo keeps values as given
-    return cfg
+    proto = {**_BASE_DEFAULTS, "model": {"surface": _surface_block, "market": _market_block},
+             "payoff": _payoff_block, "experiment": _EXPERIMENT_DEFAULTS[command]}
+    return cfg, _check_type("", cfg, proto)
 
 
 def _plain(obj):
@@ -209,24 +211,14 @@ def _plain(obj):
 # ---------------------------------------------------------------------------
 
 def _objects(cfg: dict, threads: int):
-    surface = surface_from_config(cfg["model"]["surface"])
-    market = market_from_config(cfg["model"]["market"])
-    payoff = payoff_from_config(cfg["payoff"])
-    mc = cfg["mc"]
-    sim = SimConfig(
-        steps=mc["steps"],
-        n_paths=mc["n_paths"],
-        seed=mc["seed"],
-        scheme=mc["scheme"],
-        threads=threads,
-    )
-    return surface, market, payoff, sim
+    sim = SimConfig(**cfg["mc"], threads=threads)
+    return cfg["model"]["surface"], cfg["model"]["market"], cfg["payoff"], sim
 
 
 def _t_grid(e: dict) -> list:
-    lo, hi, n = float(e["t_lo"]), float(e["t_hi"]), int(e["n_t"])
-    if not (0.0 < lo < hi):
-        raise ValidationError(f"need 0 < t_lo < t_hi, got [{lo}, {hi}]")
+    lo, hi, n = e["t_lo"], e["t_hi"], e["n_t"]
+    if not (0.0 < lo < hi < math.inf):
+        raise ValidationError(f"need 0 < t_lo < t_hi < inf, got [{lo}, {hi}]")
     if n < 2:
         raise ValidationError(f"n_t must be at least 2, got {n}")
     spacing = e["spacing"]
@@ -275,8 +267,7 @@ def _term_vol(surface, S0: float, style: str, T: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _cmd_vols(cfg, threads, outdir, resolved):
-    surface = surface_from_config(cfg["model"]["surface"])
-    market = market_from_config(cfg["model"]["market"])
+    surface, market = cfg["model"]["surface"], cfg["model"]["market"]
     grid = _t_grid(cfg["experiment"])
     rows = []
     for T in grid:
@@ -294,7 +285,7 @@ def _cmd_vols(cfg, threads, outdir, resolved):
 def _cmd_price(cfg, threads, outdir, resolved):
     surface, market, payoff, sim = _objects(cfg, threads)
     e = cfg["experiment"]
-    style, method, T = e["style"], e["method"], float(e["T"])
+    style, method, T = e["style"], e["method"], e["T"]
     if method not in ("mc", "asym", "both"):
         raise ValidationError(f"method must be mc, asym or both, got '{method}'")
     if style == "geometric" and method != "mc":
@@ -327,7 +318,7 @@ def _cmd_price(cfg, threads, outdir, resolved):
 def _cmd_delta(cfg, threads, outdir, resolved):
     surface, market, payoff, sim = _objects(cfg, threads)
     e = cfg["experiment"]
-    style, method, T = e["style"], e["method"], float(e["T"])
+    style, method, T = e["style"], e["method"], e["T"]
     methods = ("asym", "fd", "malliavin") if method == "all" else (method,)
     for m in methods:
         if m not in ("asym", "fd", "malliavin"):
@@ -345,7 +336,7 @@ def _cmd_delta(cfg, threads, outdir, resolved):
             asym_delta(payoff, market.S0, v, T, style=style).value if v > 0.0 else math.nan
         )
     if "fd" in methods:
-        est = mc_delta_fd(surface, market, payoff, style, T, sim, bump=float(e["bump"]))
+        est = mc_delta_fd(surface, market, payoff, style, T, sim, bump=e["bump"])
         vals["fd"], vals["fd_se"] = est.mean, est.std_error
     if "malliavin" in methods:
         est = mc_delta_malliavin(surface, market, payoff, style, T, sim)
@@ -371,7 +362,7 @@ def _cmd_verify_approx(cfg, threads, outdir, resolved):
     pair = tuple(e["pair"])
     grid = _t_grid(e)
     res = refined_fit(
-        surface, market, pair, float(e["p"]), grid, sim, slope_tol=float(e["slope_tol"])
+        surface, market, pair, e["p"], grid, sim, slope_tol=e["slope_tol"]
     )
     for key, fname in (("curve", "approx_curve.csv"), ("curve_refined", "approx_curve_refined.csv")):
         c = res[key]
@@ -395,21 +386,20 @@ def _cmd_verify_approx(cfg, threads, outdir, resolved):
 
 
 def _cmd_ldp(cfg, threads, outdir, resolved):
-    surface = surface_from_config(cfg["model"]["surface"])
-    market = market_from_config(cfg["model"]["market"])
+    surface, market = cfg["model"]["surface"], cfg["model"]["market"]
     e = cfg["experiment"]
-    problem = problem_from_surface(surface, float(e["x"]), market.S0, grid_n=int(e["grid_n"]))
+    problem = problem_from_surface(surface, e["x"], market.S0, grid_n=e["grid_n"])
     res = rate_function(problem)
     _write_csv(outdir / "path.csv", resolved, "t,g", zip(res.t, res.g))
     summary = {k: v for k, v in vars(res).items() if k not in ("t", "g")}
-    if bool(e["oracle"]):
+    if e["oracle"]:
         oracle = rate_function_shooting(problem)
         summary["oracle"] = oracle
         summary["oracle_gap_abs"] = abs(res.value - oracle)
     _write_summary(outdir / "summary.yaml", summary)
-    print(f"I({float(e['x']):.6g}) = {res.value:.6g}  (converged={res.converged}, "
+    print(f"I({e['x']:.6g}) = {res.value:.6g}  (converged={res.converged}, "
           f"outer iterations {res.n_outer})")
-    if bool(e["oracle"]):
+    if e["oracle"]:
         print(f"  oracle {summary['oracle']:.6g}  "
               f"(|gap| {summary['oracle_gap_abs']:.3g})")
 
@@ -423,12 +413,12 @@ def _cmd_converge(cfg, threads, outdir, resolved):
         payoff,
         e["style"],
         e["estimator"],
-        [float(T) for T in e["t_grid"]],
+        e["t_grid"],
         sim,
-        float(e["hypothesized_order"]),
-        slack=float(e["slack"]),
-        path_scaling=bool(e["path_scaling"]),
-        bump=float(e["bump"]),
+        e["hypothesized_order"],
+        slack=e["slack"],
+        path_scaling=e["path_scaling"],
+        bump=e["bump"],
     )
     _write_csv(
         outdir / "converge.csv",
@@ -460,9 +450,9 @@ def _cmd_compare(cfg, threads, outdir, resolved):
         surface,
         market,
         payoff,
-        [float(T) for T in e["t_grid"]],
+        e["t_grid"],
         sim,
-        path_scaling=bool(e["path_scaling"]),
+        path_scaling=e["path_scaling"],
     )
     _write_csv(
         outdir / "compare.csv",
@@ -592,15 +582,15 @@ def main(argv=None) -> int:
                 )
             rc = _cmd_check(args.criteria, args.configs_dir, threads)
         else:
-            cfg = _resolve(args.command, args.config, overrides)
-            outdir = Path(cfg["output"]["dir"])
+            cfg, typed = _resolve(args.command, args.config, overrides)
+            outdir = Path(typed["output"]["dir"])
             outdir.mkdir(parents=True, exist_ok=True)
             # the echoed config describes the experiment; where the files land
             # (like the thread count) is an execution detail, not part of it
             echo = {k: v for k, v in cfg.items() if k != "output"}
             resolved = yaml.safe_dump(_plain(echo), sort_keys=True, default_flow_style=False)
             (outdir / "resolved.yaml").write_text(resolved)
-            _COMMAND_FN[args.command](cfg, threads, outdir, resolved)
+            _COMMAND_FN[args.command](typed, threads, outdir, resolved)
             rc = 0
         sys.stdout.flush()  # a reader that went away shows here, not at exit
         return rc

@@ -101,8 +101,8 @@ def convergence_report(
     rows = [(float(t), float(v), float(se)) for t, v, se in errors]
     if len(rows) < 4:
         raise ValidationError(f"need at least 4 grid points, got {len(rows)}")
-    if any(t <= 0.0 for t, _, _ in rows):
-        raise ValidationError("all T must be positive")
+    if not all(0.0 < t < math.inf for t, _, _ in rows):
+        raise ValidationError("all T must be finite and positive")
     usable = [(t, v, se) for t, v, se in rows if v > max(3.0 * se, 0.0)]
     dropped = [r for r in rows if r not in usable]
     if len(usable) < 4:
@@ -183,8 +183,8 @@ def asymptotics_error_study(
     if estimator not in ("price", "delta-fd", "delta-malliavin"):
         raise ValidationError(f"unknown estimator '{estimator}'")
     T_grid = [float(T) for T in T_grid]
-    if any(T <= 0 for T in T_grid):
-        raise ValidationError("all T must be positive")
+    if not all(0.0 < T < math.inf for T in T_grid):
+        raise ValidationError(f"all T must be finite and positive, got {T_grid}")
     T_max = max(T_grid)
     vol_of = asian_vol if style == "asian" else european_vol
 
@@ -288,8 +288,8 @@ def compare_experiment(
             f"compare_experiment needs a call or put payoff, got '{payoff.family}'"
         )
     T_grid = [float(T) for T in T_grid]
-    if any(T <= 0 for T in T_grid):
-        raise ValidationError("all T must be positive")
+    if not all(0.0 < T < math.inf for T in T_grid):
+        raise ValidationError(f"all T must be finite and positive, got {T_grid}")
     geo_enabled = isinstance(surface, ConstantVol)
     sigma0 = float(surface.sigma(0.0, params.S0)) if geo_enabled else math.nan
     S0, K = params.S0, payoff.strike

@@ -96,8 +96,8 @@ class RateFunctionProblem:
             raise ValidationError(
                 "the rate function is defined for time-independent volatility only"
             )
-        if not (self.x > 0.0 and self.y > 0.0):
-            raise ValidationError(f"x and y must be positive, got x={self.x}, y={self.y}")
+        if not (0.0 < self.x < np.inf and 0.0 < self.y < np.inf):
+            raise ValidationError(f"x, y must be finite and positive, got x={self.x}, y={self.y}")
         if not (isinstance(self.grid_n, (int, np.integer)) and self.grid_n >= 2):
             raise ValidationError(f"grid_n must be an integer >= 2, got {self.grid_n}")
 

@@ -29,8 +29,10 @@ locations, and a Holder modulus ``|phi(x) - phi(y)| <= beta |x - y|^gamma``
 that downstream error estimates rely on.
 
 Each family is one table row: ``_SURFACES`` maps it to its class, whose
-constructor signature gives the config keys, and ``_PAYOFFS`` holds a
-payoff family's config keys, validation, value, kinks and Holder modulus.
+``keys`` prototype its constructor's parameters, and ``_PAYOFFS`` holds a
+payoff family's config keys, defaults, validation, value, kinks and Holder
+modulus.  ``_check_type`` types every config value, a family or market block
+by its checker (``_surface_block``, ``_payoff_block``, ``_market_block``).
 """
 
 from __future__ import annotations
@@ -108,6 +110,18 @@ def _evaluate(fn, t, x):
     return tuple(map(float, val)) if isinstance(val, tuple) else float(val)
 
 
+def _float_array(key: str, value) -> np.ndarray:
+    """A constructor's array argument as floats; a ragged, bool or non-numeric
+    one is a ValidationError naming the argument."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{key} must be a rectangular array of numbers, got {value!r}")
+    return arr.astype(float)
+
+
 class LocalVolSurface:
     """Base class: vectorized sigma plus diffusion-coefficient derivatives.
 
@@ -163,6 +177,7 @@ class ConstantVol(LocalVolSurface):
     """
 
     family = "constant"
+    keys = {"sigma": 0.0}
 
     def __init__(self, sigma: float):
         if not (np.isfinite(sigma) and sigma >= 0.0):
@@ -189,6 +204,7 @@ class TimeScaledVol(LocalVolSurface):
     """
 
     family = "time-scaled"
+    keys = {"c0": 0.0, "c1": 0.0, "c2": 0.0}
 
     def __init__(self, c0: float, c1: float = 0.0, c2: float = 0.0):
         for name, c in (("c0", c0), ("c1", c1), ("c2", c2)):
@@ -223,6 +239,7 @@ class CappedPowerVol(LocalVolSurface):
     """
 
     family = "capped-power"
+    keys = {"sref": 0.0, "xref": 0.0, "exponent": 0.0, "floor": 0.0, "cap": 0.0}
 
     def __init__(
         self,
@@ -286,11 +303,11 @@ class TabulatedVol(LocalVolSurface):
     """
 
     family = "tabulated-grid"
+    keys = {"ts": [0.0], "xs": [0.0], "values": [[0.0]]}
 
     def __init__(self, ts: Sequence[float], xs: Sequence[float], values):
-        ts = _real_array(self.family, "ts", ts)
-        xs = _real_array(self.family, "xs", xs)
-        vals = _real_array(self.family, "values", values, ndim=2)
+        ts, xs = _float_array("ts", ts), _float_array("xs", xs)
+        vals = _float_array("values", values)
         if ts.ndim != 1 or xs.ndim != 1 or len(ts) < 2 or len(xs) < 2:
             raise ValidationError("tabulated grid needs 1-D ts and xs of length >= 2")
         if np.any(np.diff(ts) <= 0.0) or np.any(np.diff(xs) <= 0.0):
@@ -349,13 +366,10 @@ class TabulatedVol(LocalVolSurface):
 # payoffs
 # ---------------------------------------------------------------------------
 
-_REQUIRED = inspect.Parameter.empty  # a config key with no default
-
-
 class _PayoffFamily(NamedTuple):
     """One payoff family.  ``keys`` maps each parameter the family reads to
-    its config default (``_REQUIRED`` if it has none); the callables take the
-    :class:`PayoffSpec`, and ``value`` also a 1-D float array of levels."""
+    its config prototype, ``defaults`` the optional ones to their values; the
+    callables take the :class:`PayoffSpec`, ``value`` also a 1-D float array."""
 
     keys: dict
     check: Callable
@@ -363,6 +377,7 @@ class _PayoffFamily(NamedTuple):
     kinks: Callable
     beta: Callable = lambda p: 1.0
     gamma: Callable = lambda p: 1.0
+    defaults: dict = {}
 
 
 def _check_strike(p) -> None:
@@ -399,8 +414,7 @@ def _check_constant(p) -> None:
 def _check_table(p) -> None:
     if p.table_x is None or p.table_y is None:
         raise ValidationError("user-table payoff needs table_x and table_y")
-    tx = _real_array(p.family, "table_x", p.table_x)
-    ty = _real_array(p.family, "table_y", p.table_y)
+    tx, ty = _float_array("table_x", p.table_x), _float_array("table_y", p.table_y)
     if tx.ndim != 1 or tx.shape != ty.shape or len(tx) < 2:
         raise ValidationError("user-table needs matching 1-D x and y, length >= 2")
     if np.any(np.diff(tx) <= 0.0):
@@ -424,37 +438,37 @@ def _table_beta(p) -> float:
 
 _PAYOFFS = {
     "call": _PayoffFamily(
-        {"strike": _REQUIRED}, _check_strike,
+        {"strike": 0.0}, _check_strike,
         lambda p, x: np.maximum(x - p.strike, 0.0), lambda p: (p.strike,),
     ),
     "put": _PayoffFamily(
-        {"strike": _REQUIRED}, _check_strike,
+        {"strike": 0.0}, _check_strike,
         lambda p, x: np.maximum(p.strike - x, 0.0), lambda p: (p.strike,),
     ),
     "power-call": _PayoffFamily(
-        {"strike": _REQUIRED, "exponent": _REQUIRED}, _check_power_call,
+        {"strike": 0.0, "exponent": 0.0}, _check_power_call,
         lambda p, x: np.maximum(x - p.strike, 0.0) ** p.exponent, lambda p: (p.strike,),
         gamma=lambda p: p.exponent,
     ),
     "capped-power": _PayoffFamily(
-        {"strike": _REQUIRED, "exponent": _REQUIRED, "cap_width": _REQUIRED},
+        {"strike": 0.0, "exponent": 0.0, "cap_width": 0.0},
         _check_capped_power,
         lambda p, x: np.clip(x - p.strike, 0.0, p.cap_width) ** (1.0 + p.exponent),
         lambda p: (p.strike, p.strike + p.cap_width),
         lambda p: (1.0 + p.exponent) * p.cap_width**p.exponent,
     ),
     "linear": _PayoffFamily(
-        {"slope": 1.0, "intercept": 0.0}, _check_linear,
+        {"slope": 0.0, "intercept": 0.0}, _check_linear,
         lambda p, x: p.slope * x + p.intercept, lambda p: (),
-        lambda p: max(abs(p.slope), 1e-300),
+        lambda p: max(abs(p.slope), 1e-300), defaults={"slope": 1.0, "intercept": 0.0},
     ),
     # any positive beta works for a flat payoff
     "constant": _PayoffFamily(
-        {"level": _REQUIRED}, _check_constant,
+        {"level": 0.0}, _check_constant,
         lambda p, x: np.full_like(x, p.level), lambda p: (),
     ),
     "user-table": _PayoffFamily(
-        {"table_x": _REQUIRED, "table_y": _REQUIRED}, _check_table, _table_value,
+        {"table_x": [0.0], "table_y": [0.0]}, _check_table, _table_value,
         lambda p: tuple(float(v) for v in p.table_x[1:-1]), _table_beta,
     ),
 }
@@ -529,7 +543,7 @@ class PayoffSpec:
 
 
 # ---------------------------------------------------------------------------
-# config factories (used by the CLI, handy in tests)
+# config typing and factories (used by the CLI and the acceptance battery)
 # ---------------------------------------------------------------------------
 
 def _is_real(value) -> bool:
@@ -547,7 +561,10 @@ def _check_type(name: str, value, proto, what: str = "config"):
     an int (never a bool) and returns it as a float.  A list is non-empty and
     its items match its first item (a mapping item as ``name[i]``).  A mapping
     has exactly the prototype's keys, each checked as ``name.key``, or any keys
-    if the prototype is ``{}``."""
+    if the prototype is ``{}``.  A callable prototype is a block's checker,
+    and the value is typed as ``proto(name, value, what)``."""
+    if callable(proto):
+        return proto(name, value, what)
     ok = _is_real(value) if isinstance(proto, float) else type(value) is type(proto)
     if not ok or (isinstance(proto, list) and not value):
         raise ValidationError(f"{what} key '{name}' must be {_KIND[type(proto)]}, got {value!r}")
@@ -559,69 +576,37 @@ def _check_type(name: str, value, proto, what: str = "config"):
                 for i, v in enumerate(value)]
     if not (isinstance(proto, dict) and proto):
         return value
-    out = {}
-    for key in {**proto, **value}:
-        path = f"{name}.{key}" if name else str(key)
+    paths = {key: f"{name}.{key}" if name else str(key) for key in {**proto, **value}}
+    for key, path in paths.items():  # the key set first, then each value
         if key not in proto or key not in value:
             raise ValidationError(f"{what} has {'no' if key in proto else 'unknown'} key '{path}'")
-        out[key] = _check_type(path, value[key], proto[key], what)
-    return out
+    return {key: _check_type(paths[key], value[key], proto[key], what) for key in proto}
 
 
-def _real_array(family: str, key: str, value, ndim: int = 1) -> np.ndarray:
-    """``value`` as a float array: a list of real numbers (ndim 1) or a list
-    of equal-length such lists (ndim 2).  Anything else, a string or a bool
-    item among them, is a ValidationError naming the key."""
-    def is_list(v):
-        return isinstance(v, (list, tuple, np.ndarray))
-
-    rows = value if ndim == 2 and is_list(value) else [value]
-    if not (all(is_list(r) and all(_is_real(v) for v in r) for r in rows)
-            and len({len(r) for r in rows}) <= 1):
-        shape = "a list" if ndim == 1 else "a list of equal-length lists"
-        raise ValidationError(f"{family}: key '{key}' must be {shape} of numbers, got {value!r}")
-    return np.asarray(value, dtype=float)
+_MARKET = {"S0": 0.0, "r": 0.0, "q": 0.0}  # the market block's keys
 
 
-def _take(cfg: dict, what: str, keys: dict, types: dict) -> dict:
-    """Pull exactly the allowed keys out of a config mapping.
-
-    ``keys`` maps each allowed key to its default, or to ``_REQUIRED``;
-    ``types`` maps keys to their annotations, and a key annotated ``float``
-    takes only a real number.
-    """
-    cfg = dict(cfg)
-    out = {}
-    for key, default in keys.items():
-        if key in cfg:
-            out[key] = cfg.pop(key)
-            if types.get(key) == "float" and not _is_real(out[key]):
-                raise ValidationError(f"{what}: key '{key}' must be a number, got {out[key]!r}")
-        elif default is _REQUIRED:
-            raise ValidationError(f"{what}: missing required key '{key}'")
-        else:
-            out[key] = default
-    if cfg:
-        raise ValidationError(f"{what}: unknown key '{sorted(cfg)[0]}'")
-    return out
-
-
-def _take_family(cfg: dict, what: str, table: dict, keys_of, types_of) -> tuple:
-    """(family, parameters) of a family block; ``keys_of(row)`` and
-    ``types_of(row)`` give its keys and their annotations."""
-    if "family" not in cfg:
-        raise ValidationError(f"{what}: missing required key 'family'")
-    fam = cfg["family"]
-    if not (isinstance(fam, str) and fam in table):
-        raise ValidationError(f"{what}: unknown family '{fam}'")
-    kw = _take(cfg, what, {"family": _REQUIRED, **keys_of(table[fam])}, types_of(table[fam]))
-    del kw["family"]
-    return fam, kw
-
-
-def market_from_config(cfg: dict) -> MarketParams:
-    kw = _take(cfg, "market", {"S0": _REQUIRED, "r": 0.0, "q": 0.0}, MarketParams.__annotations__)
+def _market_block(name: str, value, what: str) -> MarketParams:
+    """The checker of a market block, r and q defaulting to 0: its MarketParams."""
+    kw = _check_type(name, {"r": 0.0, "q": 0.0, **_check_type(name, value, {}, what)},
+                     _MARKET, what)
     return MarketParams(**kw)
+
+
+def _family_block(table: dict, defaults: Callable, make: Callable) -> Callable:
+    """The checker of a family block.  Its ``family`` string picks the row of
+    ``table``; ``defaults(row)`` fill the row's absent optional keys, the block
+    is checked as a mapping of ``family`` and the row's ``keys``, and the
+    checker returns ``make`` of the typed mapping."""
+    def check(name: str, value, what: str):
+        fam = _check_type(name, value, {}, what).get("family")
+        if not (isinstance(fam, str) and fam in table):
+            raise ValidationError(f"{what} key '{name}.family' must be one of "
+                                  f"{', '.join(table)}, got {fam!r}")
+        row = table[fam]
+        return make(_check_type(name, {**defaults(row), **value},
+                                {"family": fam, **row.keys}, what))
+    return check
 
 
 def tabulated_from_csv(path) -> TabulatedVol:
@@ -654,20 +639,26 @@ def tabulated_from_csv(path) -> TabulatedVol:
 _SURFACES = {
     cls.family: cls for cls in (ConstantVol, TimeScaledVol, CappedPowerVol, TabulatedVol)
 }
+_surface_block = _family_block(
+    _SURFACES,
+    lambda cls: {p.name: p.default for p in inspect.signature(cls).parameters.values()
+                 if p.default is not p.empty},
+    lambda kw: _SURFACES[kw.pop("family")](**kw),
+)
+# tables arrive as YAML lists; the frozen spec holds tuples
+_payoff_block = _family_block(
+    _PAYOFFS, lambda row: row.defaults,
+    lambda kw: PayoffSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in kw.items()}),
+)
+
+
+def market_from_config(cfg: dict) -> MarketParams:
+    return _market_block("market", cfg, "config")
 
 
 def surface_from_config(cfg: dict) -> LocalVolSurface:
-    fam, kw = _take_family(
-        cfg, "surface", _SURFACES,
-        lambda cls: {p.name: p.default for p in inspect.signature(cls).parameters.values()},
-        lambda cls: cls.__init__.__annotations__,
-    )
-    return _SURFACES[fam](**kw)
+    return _surface_block("surface", cfg, "config")
 
 
 def payoff_from_config(cfg: dict) -> PayoffSpec:
-    fam, kw = _take_family(
-        cfg, "payoff", _PAYOFFS, lambda row: row.keys, lambda row: PayoffSpec.__annotations__
-    )
-    # tables arrive as YAML lists; the frozen spec holds tuples
-    return PayoffSpec(fam, **{k: tuple(v) if isinstance(v, list) else v for k, v in kw.items()})
+    return _payoff_block("payoff", cfg, "config")

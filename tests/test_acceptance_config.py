@@ -77,6 +77,30 @@ def test_a_bad_value_exits_1_before_the_criterion_runs(tmp_path, monkeypatch, ca
                    "got 'abc'\n")
 
 
+@pytest.mark.parametrize(
+    "n, path, named",
+    [
+        (6, ("pairs", -1, "surface", "sref"), "criterion 6 config key 'pairs[4].surface.sref'"),
+        (6, ("pairs", -1, "market", "S0"), "criterion 6 config key 'pairs[4].market.S0'"),
+        (7, ("skew_surface", "sref"), "criterion 7 config key 'skew_surface.sref'"),
+    ],
+)
+def test_a_bad_family_block_fails_before_any_work(tmp_path, monkeypatch, n, path, named):
+    def never(*args, **kwargs):
+        raise AssertionError("the criterion ran")
+
+    monkeypatch.setattr(acceptance, "refined_fit", never)
+    monkeypatch.setattr(acceptance, "rate_function", never)
+    cfg = shipped(n)
+    node = cfg
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = "abc"
+    with pytest.raises(ValidationError) as exc:
+        acceptance.run_criterion(n, write(tmp_path, n, cfg))
+    assert str(exc.value) == f"{named} must be a number, got 'abc'"
+
+
 def test_an_int_for_a_number_arrives_as_a_float(tmp_path):
     cfg = shipped(9)
     cfg["S0"], cfg["geometric"]["K"] = 100, 95

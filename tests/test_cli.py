@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -81,11 +82,12 @@ class TestConfigResolution:
     @pytest.mark.parametrize(
         "argv, named",
         [
-            (["price", "--experiment.method=asym", "--payoff.strike=abc"], "'strike'"),
-            (["price", "--experiment.method=asym", "--model.surface.sigma=abc"], "'sigma'"),
-            (["price", "--experiment.method=asym", "--model.market.S0=abc"], "'S0'"),
-            (["price", "--experiment.method=asym", "--payoff.strike=[1,2]"], "'strike'"),
-            (["price", "--experiment.method=asym", "--payoff.strike=true"], "'strike'"),
+            (["price", "--experiment.method=asym", "--payoff.strike=abc"], "'payoff.strike'"),
+            (["price", "--experiment.method=asym", "--model.surface.sigma=abc"],
+             "'model.surface.sigma'"),
+            (["price", "--experiment.method=asym", "--model.market.S0=abc"], "'model.market.S0'"),
+            (["price", "--experiment.method=asym", "--payoff.strike=[1,2]"], "'payoff.strike'"),
+            (["price", "--experiment.method=asym", "--payoff.strike=true"], "'payoff.strike'"),
             (["price", "--experiment.method=asym", "--experiment.T=abc"], "'experiment.T'"),
             (["vols", "--experiment.n_t=abc"], "'experiment.n_t'"),
             (["vols", "--experiment.n_t=5.0"], "'experiment.n_t'"),
@@ -93,12 +95,17 @@ class TestConfigResolution:
             (["compare", "--experiment.t_grid=[0.1, abc]"], "'experiment.t_grid'"),
             (["ldp", "--experiment.oracle=abc"], "'experiment.oracle'"),
             (["price", "--experiment.method=asym", "--payoff.family=user-table",
-              "--payoff.table_x=[50,abc]", "--payoff.table_y=[0,1]"], "'table_x'"),
+              "--payoff.table_x=[50,abc]", "--payoff.table_y=[0,1]"], "'payoff.table_x'"),
             (["vols", "--model.surface.family=tabulated-grid", "--model.surface.ts=abc",
-              "--model.surface.xs=[1,2]", "--model.surface.values=[[1,1],[1,1]]"], "'ts'"),
+              "--model.surface.xs=[1,2]", "--model.surface.values=[[1,1],[1,1]]"],
+             "'model.surface.ts'"),
             (["vols", "--model.surface.family=tabulated-grid", "--model.surface.ts=[0,1]",
               "--model.surface.xs=[1,2]", "--model.surface.values=[[1,abc],[1,1]]"],
-             "'values'"),
+             "'model.surface.values'"),
+            (["vols", "--model.surface.family=capped-power", "--model.surface.sref=0.2"],
+             "config has no key 'model.surface.xref'"),
+            (["vols", "--model.surface.foo=1"], "config has unknown key 'model.surface.foo'"),
+            (["vols", "--model.surface.family=heston"], "'model.surface.family'"),
             (["vols", "--output.dir=null"], "'output.dir'"),
             (["vols", "--output.dir=[1]"], "'output.dir'"),
             (["compare", "--experiment.t_grid=[]"], "'experiment.t_grid'"),
@@ -234,6 +241,25 @@ class TestExitCodes:
         rc = cli.main(["price", f"--output.dir={tmp_path}", "--experiment.T=-0.5",
                        "--mc.n_paths=1000", "--mc.steps=10"])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["ldp", "--experiment.x=.inf", "--experiment.oracle=false"], "x=inf"),
+            (["converge", "--experiment.t_grid=[.nan,0.1,0.05,0.02]"], "all T must be finite"),
+            (["compare", "--experiment.t_grid=[.nan,0.1,0.05,0.02]"], "all T must be finite"),
+            (["price", "--experiment.method=asym", "--experiment.T=.inf"], "T > 0, got inf"),
+            (["vols", "--experiment.t_hi=.inf"], "t_hi < inf"),
+        ],
+    )
+    def test_a_non_finite_input_exits_1_with_one_line(self, tmp_path, capsys, argv, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NaN or inf reaches no arithmetic
+            rc = cli.main([*argv, f"--output.dir={tmp_path}", "--mc.n_paths=100",
+                           "--mc.steps=10"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
 
     def test_numeric_failure_exits_2(self, tmp_path, capsys):
         # a 2-step plain-Euler run at huge vol explodes more than 0.1% of paths

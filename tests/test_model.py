@@ -1,10 +1,15 @@
 """Tests for market params, vol surfaces, payoffs, and config factories."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 from asianvol.errors import DomainError, ValidationError
 from asianvol.model import (
+    _PAYOFFS,
+    _SURFACES,
     CappedPowerVol,
     ConstantVol,
     MarketParams,
@@ -464,6 +469,17 @@ class TestConfigFactories:
     def test_payoff_missing_key(self):
         with pytest.raises(ValidationError, match="strike"):
             payoff_from_config({"family": "call"})
+
+    @pytest.mark.parametrize("family", sorted(_SURFACES))
+    def test_a_surface_key_table_matches_its_constructor(self, family):
+        cls = _SURFACES[family]
+        assert list(cls.keys) == list(inspect.signature(cls).parameters)
+
+    @pytest.mark.parametrize("family", sorted(_PAYOFFS))
+    def test_a_payoff_key_table_names_spec_fields(self, family):
+        row = _PAYOFFS[family]
+        fields = {f.name for f in dataclasses.fields(PayoffSpec)} - {"family"}
+        assert set(row.keys) <= fields and set(row.defaults) <= set(row.keys)
 
     def test_optional_keys_take_their_defaults(self):
         assert payoff_from_config({"family": "linear"}) == PayoffSpec(
