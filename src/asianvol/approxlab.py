@@ -104,9 +104,9 @@ def lp_distance_curve(
     for i, ti in enumerate(t):
 
         def block_fn(lo, hi, ti=ti):
-            paths, _, exploded = _sim_block(surface, params, ti, cfg, lo, hi, pair)
+            ends, _, exploded = _sim_block(surface, params, ti, cfg, lo, hi, pair)
             valid = ~exploded
-            a, b = (paths[name][:, -1][valid] for name in pair)
+            a, b = (ends[name][valid] for name in pair)
             return [np.abs(a - b) ** p], int(exploded.sum()), 0
 
         n, mean, cov, _, _ = _reduce(block_fn, cfg)

@@ -98,6 +98,9 @@ def convergence_report(
     relative standard errors, so rescaling all values (and their errors)
     by a constant moves the intercept only, never the fitted order.
     """
+    for name, value in (("hypothesized_order", hypothesized_order), ("slack", slack)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
     rows = [(float(t), float(v), float(se)) for t, v, se in errors]
     if len(rows) < 4:
         raise ValidationError(f"need at least 4 grid points, got {len(rows)}")

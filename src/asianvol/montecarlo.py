@@ -12,21 +12,20 @@ One Brownian driver, eight processes.  On a uniform grid t_j = j dt over
 * ``Xh`` - frozen Gaussian:    dXh = sigma(t,S0) S0 dW
 * ``Yh`` - frozen Gaussian sensitivity: dYh = dcoef_dx(t,S0) dW
 
-One stepping kernel, _sim_block, evolves a block of paths.  (S, Z) at
-drift r-q and (X, Y) at drift 0 go through the same level/sensitivity
-loop, with coefficients at the left grid point from one coefficient call
-per step (the fused sigma(t, x, 1) when the sensitivity is evolved): the
-level steps by Euler or log-Euler (selected in SimConfig), the sensitivity
-by Euler, so at zero drift the two pairs agree bit for bit.  The frozen
-processes have deterministic coefficients sigma(t_j, S0) and
-dcoef_dx(t_j, S0), from one call, and no step loop: Xt and Yt are
-cumulative products of their exact lognormal step factors, Xh and Yh
-cumulative sums of their Gaussian increments.
-The kernel returns (paths, dW, exploded): one (B, steps+1) history per
-requested process, the (B, steps) increments, and the paths on which a
-process left its domain (non-finite, or a nonpositive level; S, Z, X and
-Y are held at their last valid value there).  Callers take terminal
-values as h[:, -1] and trapezoid averages from _trap_mean.
+One stepping kernel, _sim_block, evolves a block of paths, one (B,) row
+per process.  (S, Z) at drift r-q and (X, Y) at drift 0 go through the
+same level/sensitivity step, with coefficients at the left grid point from
+one coefficient call per step (the fused sigma(t, x, 1) when the
+sensitivity is evolved, sigma(t, x, 2) for a Malliavin weight): the level
+steps by Euler or log-Euler (selected in SimConfig), the sensitivity by
+Euler, so at zero drift the two pairs agree bit for bit.  The frozen
+processes step by their exact factors or increments, with coefficients
+sigma(t_j, S0) and dcoef_dx(t_j, S0) from one call.  A process that leaves
+its domain (non-finite, or a nonpositive level) is held at its last valid
+value and its path is marked exploded.  Each step's rows go to a fold
+that the caller supplies: the estimators fold them into a few (B,) rows
+(a trapezoid average, the Malliavin weights' prefix sums), and only
+simulate keeps histories.
 
 Randomness is counter-based and addressed by (seed, path, step).  Every
 estimator hands its per-path values to one block reducer, _reduce, which
@@ -54,15 +53,15 @@ with F1 = 1 / Int Z dt, u_j = 2 Z_j^2 / (sigma_j S_j), and K_j the
 tail integral Int_{t_j}^T D_{t_j} Z_t dt evaluated in closed form from
 the second-variation prefix sums (see _asian_weights); the European
 weight is the three-term Skorokhod representation with G = S_T / Z_T.
-Paths whose denominators fall below 1e-6 of their expected scale get
-weight zero (mirroring the indicator truncations that make the weights
-integrable) and are counted in diagnostics.
+Both are carried through the step loop as prefix sums.  Paths whose
+denominators fall below 1e-6 of their expected scale get weight zero
+(mirroring the indicator truncations that make the weights integrable)
+and are counted in diagnostics.
 
-Memory per block per thread, at its traced peak in (B, steps) arrays:
-mc_price and mc_asian_price_cv 2 (increments, S history), mc_delta_fd 2
-(one leg at a time), mc_delta_malliavin 7 for either style (the weights
-pop S and Z from the kernel's paths and build their terms in place).
-A Malliavin block past _MAX_ELEMENTS values is refused before any draw.
+Memory per block per thread: the increments, the draw's own temporaries
+and a few (B,) rows; a traced block peaks at _BLOCK_PEAK (B, steps)
+arrays at most.  A run whose block would hold more than _MAX_ELEMENTS
+values at that peak is refused before any draw.
 """
 
 from __future__ import annotations
@@ -93,7 +92,8 @@ __all__ = [
 
 PROCESS_NAMES = ("S", "X", "Y", "Z", "Xt", "Yt", "Xh", "Yh")
 _STYLES = ("asian", "european", "geometric")
-_MAX_ELEMENTS = 2e8  # float64 values one Malliavin block or one simulate run may hold
+_MAX_ELEMENTS = 2e8  # float64 values one block or one simulate run may hold
+_BLOCK_PEAK = 2.2  # (B, steps) arrays at a traced block's peak: the draw's two, a few (B,) rows
 
 
 @dataclass(frozen=True)
@@ -152,40 +152,6 @@ def _t_left(T: float, steps: int) -> np.ndarray:
     return (T / steps) * np.arange(steps)
 
 
-def _level_pair(surface, S0: float, mu: float, dW, dt: float, log_scheme: bool, sens: bool):
-    """Time-major histories of a level L and, if ``sens``, its first variation D.
-
-    dL = mu L dt + sigma(t, L) L dW from L0 = S0, by Euler or log-Euler, and
-    dD = mu D dt + dcoef_dx(t, L) D dW from D0 = 1, by Euler.  A non-finite
-    value (or a nonpositive level) is replaced by the last valid one and
-    its path is returned as bad.
-    """
-    B, steps = dW.shape
-    L = np.empty((steps + 1, B))
-    L[0] = S0
-    D = np.empty((steps + 1, B)) if sens else None
-    if sens:
-        D[0] = 1.0
-    bad = np.zeros(B, dtype=bool)
-    for j in range(steps):
-        tj, x, dWj = j * dt, L[j], dW[:, j]
-        sig, nu = surface.sigma(tj, x, 1) if sens else (surface.sigma(tj, x), None)
-        if log_scheme:
-            L[j + 1] = x * np.exp((mu - 0.5 * sig**2) * dt + sig * dWj)
-        else:
-            L[j + 1] = x * (1.0 + mu * dt + sig * dWj)
-        if sens:
-            z = D[j]
-            D[j + 1] = z * (1.0 + mu * dt) + nu * z * dWj
-        for h, low in ((L, 0.0), (D, -np.inf))[:1 + sens]:
-            row = h[j + 1]
-            if not (row.min() > low and row.max() < np.inf):  # a NaN fails too
-                b = ~((row > low) & (row < np.inf))
-                row[b] = h[j][b]
-                bad |= b
-    return L, D, bad
-
-
 def _sim_block(
     surface: LocalVolSurface,
     params: MarketParams,
@@ -194,45 +160,65 @@ def _sim_block(
     lo: int,
     hi: int,
     include: Sequence[str],
+    fold=None,
+    order: int = 0,
 ):
-    """Evolve paths [lo, hi) of the included processes; returns (paths, dW, exploded).
+    """Evolve paths [lo, hi) of the included processes; returns (ends, dW, exploded).
 
-    ``paths`` maps each included name to its (B, steps+1) history, the
-    transposed view of time-major storage written one contiguous row per
-    step; ``exploded`` marks the paths on which any evolved process left
-    its domain.  A sensitivity is evolved only when included, its level
-    whenever either of the pair is.
+    A sensitivity is evolved only when included, its level whenever either
+    of the pair is.  A level's coefficients are sigma(t_j, L, k), the tuple
+    (sigma, a', a'')[:k + 1], with k = order, raised to 1 when its
+    sensitivity is evolved.  After each step's domain check,
+    fold(j, rows, new, coefs, dW_j), if given, sees the rows at t_j and at
+    t_{j+1} and the coefficient tuples, dicts by name.  ``ends`` maps each
+    included name to its row at T; ``exploded`` marks the paths on which
+    any evolved process left its domain.
     """
     steps, dt = cfg.steps, T / cfg.steps
-    S0 = params.S0
+    S0, B = params.S0, hi - lo
     dW = normal_block(cfg.seed, steps, lo, hi)
     dW *= math.sqrt(dt)
-    exploded = np.zeros(hi - lo, dtype=bool)
-    hist = {}
-    for level, sens, mu in (("S", "Z", params.drift), ("X", "Y", 0.0)):
-        if level in include or sens in include:
-            hist[level], hist[sens], bad = _level_pair(
-                surface, S0, mu, dW, dt, cfg.scheme == "log-euler", sens in include
-            )
-            exploded |= bad
-    if {"Xt", "Yt", "Xh", "Yh"} & set(include):
-        t = _t_left(T, steps)
-        sig0, nu0 = surface.sigma(t, S0, 1)
-        frozen = (("Xt", sig0, S0), ("Yt", nu0, 1.0), ("Xh", sig0, S0), ("Yh", nu0, 1.0))
-        for name, c, x0 in frozen:
-            if name not in include:
-                continue
-            h = np.empty((steps + 1, hi - lo))
-            h[0] = x0
-            if name[1] == "t":  # exact lognormal step factors
-                np.exp((-0.5 * c**2 * dt)[:, None] + c[:, None] * dW.T, out=h[1:])
-                np.multiply.accumulate(h, axis=0, out=h)
-            else:  # Gaussian increments c x0 dW
-                np.multiply((c * x0)[:, None], dW.T, out=h[1:])
-                np.add.accumulate(h, axis=0, out=h)
-            exploded |= ~np.isfinite(h[-1])  # a non-finite value persists
-            hist[name] = h
-    return {name: hist[name].T for name in include}, dW, exploded
+    pairs = [(level, sens, mu, max(order, int(sens in include)))
+             for level, sens, mu in (("S", "Z", params.drift), ("X", "Y", 0.0))
+             if level in include or sens in include]
+    frozen = [name for name in ("Xt", "Yt", "Xh", "Yh") if name in include]
+    evolved = [n for level, sens, _, _ in pairs for n in (level, sens) if n == level or n in include]
+    rows = {name: np.full(B, S0 if name[0] in "SX" else 1.0) for name in evolved + frozen}
+    if frozen:  # Xt, Yt: exact lognormal factors; Xh, Yh: Gaussian increments c x0 dW
+        sig0, nu0 = surface.sigma(_t_left(T, steps), S0, 1)
+        c = {"X": sig0, "Y": nu0}
+        m = {name: -0.5 * c[name[0]]**2 * dt for name in frozen if name[1] == "t"}
+        g = {name: c[name[0]] * rows[name][0] if name[1] == "h" else c[name[0]]
+             for name in frozen}
+    checked = [(name, 0.0 if name in "SX" else -np.inf) for name in evolved]
+    exploded = np.zeros(B, dtype=bool)
+    for j in range(steps):
+        tj, dWj, new, coefs = j * dt, dW[:, j], {}, {}
+        for level, sens, mu, k in pairs:
+            x = rows[level]
+            co = coefs[level] = surface.sigma(tj, x, k) if k else (surface.sigma(tj, x),)
+            if cfg.scheme == "log-euler":
+                new[level] = x * np.exp((mu - 0.5 * co[0]**2) * dt + co[0] * dWj)
+            else:
+                new[level] = x * (1.0 + mu * dt + co[0] * dWj)
+            if sens in rows:
+                z = rows[sens]
+                new[sens] = z * (1.0 + mu * dt) + co[1] * z * dWj
+        for name in frozen:
+            step = g[name][j] * dWj
+            new[name] = rows[name] * np.exp(m[name][j] + step) if name in m else rows[name] + step
+        for name, low in checked:
+            row = new[name]
+            if not (row.min() > low and row.max() < np.inf):  # a NaN fails too
+                bad = ~((row > low) & (row < np.inf))
+                row[bad] = rows[name][bad]
+                exploded |= bad
+        if fold is not None:
+            fold(j, rows, new, coefs, dWj)
+        rows = new
+    for name in frozen:
+        exploded |= ~np.isfinite(rows[name])  # a non-finite value persists
+    return {name: rows[name] for name in include}, dW, exploded
 
 
 def _trap_mean(h: np.ndarray, T: float) -> np.ndarray:
@@ -269,8 +255,13 @@ def _reduce(block_fn, cfg: SimConfig):
     so a column without spread has covariance exactly 0, and the blocks are
     merged in block order by the pairwise update of Chan, Golub & LeVeque
     (1979).  Both are bit-identical for any thread count.  More than 0.1%
-    of paths excluded (every path, in particular) raises NumericError.
+    of paths excluded (every path, in particular) raises NumericError.  A
+    block that would peak over _MAX_ELEMENTS values is refused before any
+    draw, at any thread count.
     """
+    held = _BLOCK_PEAK * min(cfg.n_paths, BLOCK) * cfg.steps
+    if held > _MAX_ELEMENTS:
+        raise ValidationError(f"a block of {held:.3g} values is over {_MAX_ELEMENTS:g}")
 
     def moments(lo, hi):
         cols, excluded, flagged = block_fn(lo, hi)
@@ -312,19 +303,29 @@ def simulate(surface: LocalVolSurface, params: MarketParams, T: float, cfg: SimC
     Intended for inspection and the coupled-pair studies;
     refuses runs whose histories would not comfortably fit in memory.
     """
-    if not T > 0.0:
-        raise DomainError(f"T must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"T must be finite and positive, got {T}")
     total = cfg.n_paths * (cfg.steps + 1) * len(PROCESS_NAMES)
     if total > _MAX_ELEMENTS:
         raise ValidationError(
             f"history of {total:.2g} elements is too large; use the estimators, "
             "which stream in blocks"
         )
-    blocks = _map_blocks(
-        lambda lo, hi: _sim_block(surface, params, T, cfg, lo, hi, PROCESS_NAMES),
-        _block_ranges(cfg.n_paths),
-        cfg.threads,
-    )
+
+    def block(lo, hi):
+        # time-major histories, one contiguous row per step, returned transposed
+        hist = {name: np.empty((cfg.steps + 1, hi - lo)) for name in PROCESS_NAMES}
+
+        def keep(j, rows, new, coefs, dWj):
+            for name in PROCESS_NAMES:
+                hist[name][j] = rows[name]
+
+        ends, dW, exploded = _sim_block(surface, params, T, cfg, lo, hi, PROCESS_NAMES, keep)
+        for name in PROCESS_NAMES:
+            hist[name][-1] = ends[name]
+        return {name: h.T for name, h in hist.items()}, dW, exploded
+
+    blocks = _map_blocks(block, _block_ranges(cfg.n_paths), cfg.threads)
     processes = {name: np.concatenate([b[0][name] for b in blocks])
                  for name in PROCESS_NAMES}
     averages = {name: _trap_mean(processes[name], T) for name in ("S", "X", "Y")}
@@ -345,19 +346,30 @@ def simulate(surface: LocalVolSurface, params: MarketParams, T: float, cfg: SimC
 # estimators
 # ---------------------------------------------------------------------------
 
-def _style_values(S: np.ndarray, style: str, T: float):
-    """The payoff argument of an S history: its average, S_T, or its geometric average."""
-    if style == "asian":
-        return _trap_mean(S, T)
-    if style == "european":
-        return S[:, -1].copy()  # not a view that keeps the history alive
-    return np.exp(_trap_mean(np.log(S), T))  # geometric
+def _style_leg(surface, params, style: str, T: float, cfg: SimConfig, lo, hi,
+               include=("S",), fold=None, order: int = 0):
+    """(payoff arguments, exploded, dW, ends) of paths [lo, hi).
 
+    The argument is the trapezoid average of S (asian), S_T (european), or
+    exp of the trapezoid average of log S (geometric), the average summed
+    panel by panel in time order as the kernel steps.  ``fold``, if given,
+    sees each step after the average does.
+    """
+    dt, f = T / cfg.steps, (np.log if style == "geometric" else (lambda s: s))
+    acc, left = np.zeros(hi - lo), None
 
-def _style_leg(surface, params: MarketParams, style: str, T: float, cfg: SimConfig, lo, hi):
-    """(payoff arguments, exploded) of paths [lo, hi); only they outlive the call."""
-    paths, exploded = _sim_block(surface, params, T, cfg, lo, hi, ("S",))[::2]  # no dW
-    return _style_values(paths.pop("S"), style, T), exploded
+    def step(j, rows, new, coefs, dWj):
+        nonlocal acc, left
+        if style != "european":
+            right = f(new["S"])
+            acc += 0.5 * ((f(rows["S"]) if j == 0 else left) + right) * dt
+            left = right
+        if fold is not None:
+            fold(j, rows, new, coefs, dWj)
+
+    ends, dW, exploded = _sim_block(surface, params, T, cfg, lo, hi, include, step, order)
+    x = ends["S"] if style == "european" else acc / T
+    return (np.exp(x) if style == "geometric" else x), exploded, dW, ends
 
 
 def mc_price(
@@ -375,11 +387,11 @@ def mc_price(
     """
     if style not in _STYLES:
         raise ValidationError(f"style must be one of {_STYLES}, got '{style}'")
-    if not T > 0.0:
-        raise DomainError(f"T must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"T must be finite and positive, got {T}")
 
     def block_fn(lo, hi):
-        x, exploded = _style_leg(surface, params, style, T, cfg, lo, hi)
+        x, exploded = _style_leg(surface, params, style, T, cfg, lo, hi)[:2]
         return [payoff.value(x[~exploded])], int(exploded.sum()), 0
 
     n, mean, cov, excluded, _ = _reduce(block_fn, cfg)
@@ -454,15 +466,15 @@ def mc_asian_price_cv(
     Diagnostics add beta and the variance-reduction factor
     Var(Y) / Var(Y - beta X).
     """
-    if not T > 0.0:
-        raise DomainError(f"T must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"T must be finite and positive, got {T}")
     a, m, v = _frozen_log_average(surface, params, T, cfg.steps)
     control, control_mean = _control(payoff, m, v)
 
     def block_fn(lo, hi):
-        paths, dW, exploded = _sim_block(surface, params, T, cfg, lo, hi, ("S",))
+        average, exploded, dW, _ = _style_leg(surface, params, "asian", T, cfg, lo, hi)
         valid = ~exploded
-        y = payoff.value(_trap_mean(paths["S"], T)[valid])
+        y = payoff.value(average[valid])
         x = control(np.exp(m + np.einsum("ij,j->i", dW, a)[valid]))
         return [y, x], int(exploded.sum()), 0
 
@@ -496,8 +508,8 @@ def mc_delta_fd(
         raise ValidationError(f"style must be one of {_STYLES}, got '{style}'")
     if not (1e-5 <= bump <= 1e-1):
         raise DomainError(f"bump must lie in [1e-5, 1e-1], got {bump}")
-    if not T > 0.0:
-        raise DomainError(f"T must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"T must be finite and positive, got {T}")
     p_up = replace(params, S0=params.S0 * (1.0 + bump))
     p_dn = replace(params, S0=params.S0 * (1.0 - bump))
     denom = 2.0 * bump * params.S0
@@ -505,7 +517,7 @@ def mc_delta_fd(
     def block_fn(lo, hi):
         # one leg at a time: only its payoff arguments outlive it
         (up, up_bad), (dn, dn_bad) = (
-            _style_leg(surface, p, style, T, cfg, lo, hi) for p in (p_up, p_dn)
+            _style_leg(surface, p, style, T, cfg, lo, hi)[:2] for p in (p_up, p_dn)
         )
         valid = ~(up_bad | dn_bad)
         v = (payoff.value(up[valid]) - payoff.value(dn[valid])) / denom
@@ -520,105 +532,83 @@ def mc_delta_fd(
 
 
 # --- Malliavin weights -----------------------------------------------------
-# They pop the S and Z histories from the kernel's paths (an argument the
-# caller holds could not be freed) and update history-sized arrays in place.
+# Each runs one block of the (S, Z) pair, folding the weight's sums into (B,)
+# rows from one sigma(t, S, 2) call per step.  With rho = dcoef_dxx, the
+# second-variation prefix sum is R_j = sum_{k<j} rho_k Z_k (nu_k dt - dW_k).
 
-def _suffix_panels(arr: np.ndarray, dt: float) -> np.ndarray:
-    """Suffix sums of trapezoid panels: out[:, j] = Int_{t_j}^T arr dt."""
-    panels = 0.5 * (arr[:, :-1] + arr[:, 1:]) * dt
-    np.cumsum(panels[:, ::-1], axis=1, out=panels[:, ::-1])
-    return panels
-
-
-def _weight_terms(surface: LocalVolSurface, paths: dict, dW, T: float):
-    """(Z, Zl, nu, R, a): the Z history and its left points, and at the left
-    points of the S history nu = dcoef_dx, a = sigma S and the second-variation
-    prefix sums R_j = sum_{k<j} (nu_k rho_k Z_k dt - rho_k Z_k dW_k), R_0 = 0,
-    with rho = dcoef_dxx."""
-    t = _t_left(T, dW.shape[1])
-    S = np.ascontiguousarray(paths.pop("S")[:, :-1])
-    Z = np.ascontiguousarray(paths.pop("Z"))
-    Zl = Z[:, :-1]
-    a, nu, rho = surface.sigma(t, S, 2)
-    a *= S
-    R = np.zeros_like(Z)
-    np.multiply(nu, rho, out=R[:, 1:])
-    R[:, 1:] *= Zl
-    R[:, 1:] *= T / dW.shape[1]
-    rho *= Zl
-    rho *= dW
-    R[:, 1:] -= rho
-    np.cumsum(R[:, 1:], axis=1, out=R[:, 1:])
-    return Z, Zl, nu, R, a
-
-
-def _asian_weights(surface: LocalVolSurface, paths: dict, dW, params: MarketParams, T: float):
-    """Integration-by-parts weight for F = (1/T) Int S dt from the (S, Z) paths.
+def _asian_weights(surface, params: MarketParams, T: float, cfg: SimConfig, lo, hi):
+    """(A, weight, flagged, exploded) for F = (1/T) Int S dt on paths [lo, hi).
 
     With u_j = 2 Z_j^2 / (sigma_j S_j) the weight is
     (1/I) sum u_j dW_j + (1/I^2) sum u_j K_j dt, where I = Int Z dt and
     K_j = Int_{t_j}^T D_{t_j} Z_t dt comes from the closed form
     D_s Z_t = Z_t (nu_s - c_s (R_t - R_s)), c_s = sigma_s S_s / Z_s, as
-    K = (nu + c R) IZ - c IZR with IZ, IZR the suffix integrals of Z and Z R.
+    K_j = (nu_j + c_j R_j)(P_N - P_j) - c_j (Q_N - Q_j), with P and Q the
+    prefix integrals of Z and Z R.  With alpha_j = u_j (nu_j + c_j R_j) and
+    u_j c_j = 2 Z_j, sum u_j K_j =
+    P_N sum alpha_j - sum alpha_j P_j - 2 (Q_N sum Z_j - sum Z_j Q_j).
     """
-    dt = T / dW.shape[1]
-    Z, Zl, nu, R, a = _weight_terms(surface, paths, dW, T)
-
+    dt = T / cfg.steps
     # integrability floors at 1e-6 of the deterministic expected scale
-    t_grid = np.linspace(0.0, T, Z.shape[1])
-    mean_Z = np.exp(params.drift * t_grid)
+    mean_Z = np.exp(params.drift * np.linspace(0.0, T, cfg.steps + 1))
     floor_I = 1e-6 * float(np.trapezoid(mean_Z, dx=dt))
     floor_Z = 1e-6 * float(mean_Z.min())
+    P, Q, R, du, sa, sap, sz, szq = np.zeros((8, hi - lo))
+    min_Z = np.full(hi - lo, np.inf)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = 2.0 * Zl
-        u *= Zl
-        u /= a
-        a /= Zl  # c from here
-        IZ = _suffix_panels(Z, dt)
-        F1 = 1.0 / IZ[:, 0]
-        flagged = (IZ[:, 0] < floor_I) | (Zl.min(axis=1) < floor_Z)
-        Z *= R  # Z R from here
-        R[:, :-1] *= a  # K, built in nu
-        nu += R[:, :-1]
-        nu *= IZ
-        del R, IZ
-        a *= _suffix_panels(Z, dt)
-        nu -= a
-        delta_u = np.einsum("ij,ij->i", u, dW)
-        corr = np.einsum("ij,ij->i", u, nu) * dt
-        w = F1 * delta_u + F1 * F1 * corr
-    w[flagged] = 0.0
-    w[~np.isfinite(w)] = 0.0
-    return w, flagged
+    def fold(j, rows, new, coefs, dWj):
+        nonlocal P, Q, R, du, sa, sap, sz, szq
+        S, Z, Z1 = rows["S"], rows["Z"], new["Z"]
+        sig, nu, rho = coefs["S"]
+        np.minimum(min_Z, Z, out=min_Z)
+        u = 2.0 * Z * Z / (sig * S)
+        ZR = Z * R
+        alpha = u * nu + 2.0 * ZR
+        du += u * dWj
+        sa += alpha
+        sap += alpha * P
+        sz += Z
+        szq += Z * Q
+        R += rho * Z * (nu * dt - dWj)
+        Q += 0.5 * (ZR + Z1 * R) * dt
+        P += 0.5 * (Z + Z1) * dt
+
+    A, exploded = _style_leg(surface, params, "asian", T, cfg, lo, hi, ("S", "Z"), fold, 2)[:2]
+    F1 = 1.0 / P
+    w = F1 * du + F1 * F1 * (P * sa - sap - 2.0 * (Q * sz - szq)) * dt
+    return A, w, (P < floor_I) | (min_Z < floor_Z), exploded
 
 
-def _european_weights(surface: LocalVolSurface, paths: dict, dW, params: MarketParams, T: float):
-    """Three-term Skorokhod weight for Phi(S_T) from the (S, Z) paths.
+def _european_weights(surface, params: MarketParams, T: float, cfg: SimConfig, lo, hi):
+    """(S_T, weight, flagged, exploded) for Phi(S_T) on paths [lo, hi).
 
-    weight = G (sum h_j dW_j + sum h_j (nu_j - c_j (R_T - R_j)) dt) / (S0 T)
-             - 1/S0,  with h_j = Z_j / (sigma_j S_j) and G = S_T / Z_T.
+    weight = G (sum h_j dW_j + sum h_j (nu_j - c_j (R_N - R_j)) dt) / (S0 T)
+             - 1/S0,  with h_j = Z_j / (sigma_j S_j), c_j = 1 / h_j and
+    G = S_T / Z_T, so the second sum is sum h_j nu_j - N R_N + sum_{j<N} R_j.
     Exact when dcoef_dx = sigma (level-independent surfaces); otherwise
     accurate to the same O(sqrt(T)) order as the underlying expansion.
     """
-    dt = T / dW.shape[1]
-    S0 = params.S0
-    S_T = paths["S"][:, -1].copy()
-    Z, Zl, nu, R, a = _weight_terms(surface, paths, dW, T)
+    dt, S0 = T / cfg.steps, params.S0
     floor_Z = 1e-6 * math.exp(-abs(params.drift) * T)
-    flagged = (Zl.min(axis=1) < floor_Z) | (Z[:, -1] < floor_Z)
+    R, dh, shn, sR = np.zeros((4, hi - lo))
+    min_Z = np.full(hi - lo, np.inf)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = Zl / a
-        a /= Zl  # c from here
-        nu -= a * (R[:, -1:] - R[:, :-1])
-        delta_h = np.einsum("ij,ij->i", h, dW)
-        corr = np.einsum("ij,ij->i", h, nu) * dt
-        G = S_T / Z[:, -1]
-        w = G * (delta_h + corr) / (S0 * T) - 1.0 / S0
-    w[flagged] = 0.0
-    w[~np.isfinite(w)] = 0.0
-    return w, flagged
+    def fold(j, rows, new, coefs, dWj):
+        nonlocal R, dh, shn, sR
+        S, Z = rows["S"], rows["Z"]
+        sig, nu, rho = coefs["S"]
+        np.minimum(min_Z, Z, out=min_Z)
+        h = Z / (sig * S)
+        dh += h * dWj
+        shn += h * nu
+        sR += R
+        R += rho * Z * (nu * dt - dWj)
+
+    S_T, exploded, _, ends = _style_leg(
+        surface, params, "european", T, cfg, lo, hi, ("S", "Z"), fold, 2)
+    Z_T = ends["Z"]
+    w = S_T / Z_T * (dh + (shn - cfg.steps * R + sR) * dt) / (S0 * T) - 1.0 / S0
+    return S_T, w, (min_Z < floor_Z) | (Z_T < floor_Z), exploded
 
 
 def mc_delta_malliavin(
@@ -642,17 +632,14 @@ def mc_delta_malliavin(
         raise ValidationError(
             f"malliavin delta supports asian or european style, got '{style}'"
         )
-    if not T > 0.0:
-        raise DomainError(f"T must be positive, got {T}")
-    held = 7 * min(cfg.n_paths, BLOCK) * cfg.steps  # one block's peak, at any thread count
-    if held > _MAX_ELEMENTS:
-        raise ValidationError(f"a Malliavin block of {held:.3g} values is over {_MAX_ELEMENTS:g}")
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"T must be finite and positive, got {T}")
     weights = _asian_weights if style == "asian" else _european_weights
 
     def block_fn(lo, hi):
-        paths, dW, exploded = _sim_block(surface, params, T, cfg, lo, hi, ("S", "Z"))
-        x = _style_values(paths["S"], style, T)
-        w, flagged = weights(surface, paths, dW, params, T)
+        with np.errstate(divide="ignore", invalid="ignore"):  # such a weight is zeroed
+            x, w, flagged, exploded = weights(surface, params, T, cfg, lo, hi)
+        w[flagged | ~np.isfinite(w)] = 0.0
         valid = ~exploded
         cols = [payoff.value(x[valid]) * w[valid], w[valid]]
         return cols, int(exploded.sum()), int(flagged[valid].sum())

@@ -250,6 +250,11 @@ class TestExitCodes:
             (["compare", "--experiment.t_grid=[.nan,0.1,0.05,0.02]"], "all T must be finite"),
             (["price", "--experiment.method=asym", "--experiment.T=.inf"], "T > 0, got inf"),
             (["vols", "--experiment.t_hi=.inf"], "t_hi < inf"),
+            (["price", "--experiment.method=mc", "--experiment.T=.inf"],
+             "T must be finite and positive, got inf"),
+            (["converge", "--experiment.slack=.nan"], "slack must be finite, got nan"),
+            (["converge", "--experiment.hypothesized_order=.inf"],
+             "hypothesized_order must be finite, got inf"),
         ],
     )
     def test_a_non_finite_input_exits_1_with_one_line(self, tmp_path, capsys, argv, named):

@@ -36,6 +36,7 @@ from asianvol.montecarlo import (
     simulate,
 )
 from asianvol import _rng, montecarlo
+from asianvol.approxlab import lp_distance_curve
 from asianvol._rng import BLOCK, normal_block
 from asianvol.asymptotics import geometric_bs
 
@@ -727,6 +728,41 @@ class TestFdDelta:
 # Malliavin-weight deltas
 # ---------------------------------------------------------------------------
 
+def history_weights(surface, params, T, bundle, style):
+    """The Malliavin weights by the suffix-integral formulas, evaluated on the
+    stored S and Z histories and increments of ``bundle``.
+
+    With a = sigma S, c = a / Z and R_j = sum_{k<j} (nu_k rho_k Z_k dt -
+    rho_k Z_k dW_k), asian: (1/I) sum u_j dW_j + (1/I^2) sum u_j K_j dt with
+    u = 2 Z^2 / a, K_j = (nu_j + c_j R_j) IZ_j - c_j IZR_j and IZ, IZR the
+    suffix integrals of Z and Z R; european: G (sum h_j dW_j +
+    sum h_j (nu_j - c_j (R_N - R_j)) dt) / (S0 T) - 1/S0 with h = Z / a.
+    """
+    S, Z, dW = bundle.processes["S"], bundle.processes["Z"], bundle.increments
+    steps = dW.shape[1]
+    dt = T / steps
+    Sl, Zl = S[:, :-1], Z[:, :-1]
+    sig, nu, rho = surface.sigma(dt * np.arange(steps), Sl, 2)
+    a = sig * Sl
+    c = a / Zl
+    R = np.zeros_like(Z)
+    R[:, 1:] = np.cumsum(nu * rho * Zl * dt - rho * Zl * dW, axis=1)
+
+    def suffix(h):
+        panels = 0.5 * (h[:, :-1] + h[:, 1:]) * dt
+        return np.cumsum(panels[:, ::-1], axis=1)[:, ::-1]
+
+    if style == "asian":
+        u = 2.0 * Zl**2 / a
+        IZ = suffix(Z)
+        K = (nu + c * R[:, :-1]) * IZ - c * suffix(Z * R)
+        return (u * dW).sum(axis=1) / IZ[:, 0] + (u * K).sum(axis=1) * dt / IZ[:, 0] ** 2
+    h = Zl / a
+    corr = (h * (nu - c * (R[:, -1:] - R[:, :-1]))).sum(axis=1) * dt
+    G = S[:, -1] / Z[:, -1]
+    return G * ((h * dW).sum(axis=1) + corr) / (params.S0 * T) - 1.0 / params.S0
+
+
 class TestMalliavinDelta:
     @pytest.mark.parametrize(
         "payoff, strike_ratio",
@@ -808,36 +844,67 @@ class TestMalliavinDelta:
         monkeypatch.setattr(montecarlo, "normal_block", draw)
         return calls
 
-    def test_budget_guard(self, monkeypatch):
-        # one block would hold 7 x 8192 x 4000 = 2.3e8 values, over the 2e8 limit
+    GUARDED = {
+        "price": lambda c: mc_price(SKEW, FLAT, CALL, "asian", 0.5, c),
+        "price-cv": lambda c: mc_asian_price_cv(SKEW, FLAT, CALL, 0.5, c),
+        "delta-fd": lambda c: mc_delta_fd(SKEW, FLAT, CALL, "geometric", 0.5, c),
+        "malliavin": lambda c: mc_delta_malliavin(SKEW, FLAT, CALL, "asian", 0.5, c),
+        "pair-curve": lambda c: lp_distance_curve(SKEW, FLAT, ("Y", "Yt"), 2.0, [0.5], c),
+    }
+
+    @pytest.mark.parametrize("name", list(GUARDED))
+    def test_budget_guard(self, monkeypatch, name):
+        # one block would peak at 2.2 x 8192 x 12000 = 2.16e8 values, over the 2e8 limit
         calls = self.refuse_draws(monkeypatch)
-        cfg = SimConfig(steps=4000, n_paths=BLOCK, seed=0)
-        with pytest.raises(ValidationError, match="Malliavin block"):
-            mc_delta_malliavin(SKEW, FLAT, CALL, "asian", 0.5, cfg)
+        cfg = SimConfig(steps=12000, n_paths=BLOCK, seed=0)
+        with pytest.raises(ValidationError, match="a block of 2.16e"):
+            self.GUARDED[name](cfg)
         assert calls == []
 
     def test_guard_does_not_depend_on_threads(self, monkeypatch):
         calls = self.refuse_draws(monkeypatch)
         messages = []
         for threads in (1, 8):
-            cfg = SimConfig(steps=4000, n_paths=BLOCK, seed=0, threads=threads)
+            cfg = SimConfig(steps=12000, n_paths=BLOCK, seed=0, threads=threads)
             with pytest.raises(ValidationError) as err:
                 mc_delta_malliavin(SKEW, FLAT, CALL, "asian", 0.5, cfg)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         assert calls == []
-        # 8 blocks of 7 x 8192 x 500 = 2.9e7 values each: under the limit per
+        # 8 blocks of 2.2 x 8192 x 2000 = 3.6e7 values each: under the limit per
         # block, over it for 8 blocks at once; the run reaches its draws
         for threads in (1, 8):
-            cfg = SimConfig(steps=500, n_paths=8 * BLOCK, seed=0, threads=threads)
+            cfg = SimConfig(steps=2000, n_paths=8 * BLOCK, seed=0, threads=threads)
             with pytest.raises(RuntimeError, match="drawn"):
                 mc_delta_malliavin(SKEW, FLAT, CALL, "asian", 0.5, cfg)
 
     def test_guard_passes_a_small_block(self):
-        # 7 x 100 x 4000 = 2.8e6 values: the step count alone is no reason to refuse
-        cfg = SimConfig(steps=4000, n_paths=100, seed=0)
+        # 2.2 x 100 x 12000 = 2.6e6 values: the step count alone is no reason to refuse
+        cfg = SimConfig(steps=12000, n_paths=100, seed=0)
         est = mc_delta_malliavin(SKEW, FLAT, CALL, "asian", 0.5, cfg)
         assert math.isfinite(est.mean) and est.n_paths == 100
+
+    @pytest.mark.parametrize("style", ["asian", "european"])
+    def test_one_coefficient_call_per_step(self, monkeypatch, style):
+        calls = []
+        for name in ("sigma", "dcoef_dx", "dcoef_dxx"):
+            method = getattr(SKEW, name)
+            monkeypatch.setattr(SKEW, name, lambda *a, m=method: calls.append(a) or m(*a))
+        mc_delta_malliavin(SKEW, DRIFTY, CALL, style, 0.5, SimConfig(steps=17, n_paths=500, seed=3))
+        assert len(calls) == 17
+
+    @pytest.mark.parametrize("surface", [SKEW, TABLE], ids=["skew", "table"])
+    @pytest.mark.parametrize("style", ["asian", "european"])
+    def test_streamed_weights_match_the_suffix_integral_formulas(self, surface, style):
+        cfg = SimConfig(steps=24, n_paths=3000, seed=19)
+        weights = montecarlo._asian_weights if style == "asian" else montecarlo._european_weights
+        x, w, flagged, exploded = weights(surface, DRIFTY, 0.4, cfg, 0, cfg.n_paths)
+        b = simulate(surface, DRIFTY, 0.4, cfg)
+        assert not flagged.any() and not exploded.any()
+        want_x = b.averages["S"] if style == "asian" else b.processes["S"][:, -1]
+        assert x.tobytes() == want_x.tobytes()
+        ref = history_weights(surface, DRIFTY, 0.4, b, style)
+        np.testing.assert_allclose(w, ref, rtol=1e-12, atol=1e-12)
 
     def test_geometric_style_rejected(self):
         with pytest.raises(ValidationError, match="geometric"):
@@ -868,9 +935,11 @@ class TestBlockMemory:
         "price-cv": (lambda p, c: mc_asian_price_cv(SKEW, p, CALL, 0.25, c), 2.1),
         "delta-fd": (lambda p, c: mc_delta_fd(SKEW, p, CALL, "asian", 0.25, c), 3.1),
         "malliavin-asian": (
-            lambda p, c: mc_delta_malliavin(SKEW, p, CALL, "asian", 0.25, c), 10.0),
+            lambda p, c: mc_delta_malliavin(SKEW, p, CALL, "asian", 0.25, c), 2.2),
         "malliavin-european": (
-            lambda p, c: mc_delta_malliavin(SKEW, p, CALL, "european", 0.25, c), 9.0),
+            lambda p, c: mc_delta_malliavin(SKEW, p, CALL, "european", 0.25, c), 2.2),
+        "pair-curve": (
+            lambda p, c: lp_distance_curve(SKEW, p, ("Y", "Yt"), 2.0, [0.25], c), 2.1),
     }
 
     @pytest.mark.parametrize("name", list(RUNS))
