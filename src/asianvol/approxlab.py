@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import LocalVolSurface, MarketParams
-from .montecarlo import SimConfig, _reduce, _sim_block
+from .montecarlo import SimConfig, _increments, _reduce, _sim_block
 
 __all__ = [
     "PAIRS",
@@ -104,7 +104,8 @@ def lp_distance_curve(
     for i, ti in enumerate(t):
 
         def block_fn(lo, hi, ti=ti):
-            ends, _, exploded = _sim_block(surface, params, ti, cfg, lo, hi, pair)
+            dW = _increments(ti, cfg, lo, hi)
+            ends, _, exploded = _sim_block(surface, params, ti, cfg, lo, hi, dW, pair)
             valid = ~exploded
             a, b = (ends[name][valid] for name in pair)
             return [np.abs(a - b) ** p], int(exploded.sum()), 0

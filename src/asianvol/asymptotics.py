@@ -285,12 +285,12 @@ _EXACT = {
 
 def _quote(kind, payoff, S0, vol, T, style, force_quadrature) -> AsymptoticQuote:
     """The leading-order price or delta: a closed form from _EXACT, else quadrature."""
-    if not S0 > 0.0:
-        raise DomainError(f"S0 must be positive, got {S0}")
-    if not vol > 0.0:
-        raise DomainError(f"vol must be positive, got {vol}")
-    if not T > 0.0:
-        raise DomainError(f"T must be positive, got {T}")
+    if not 0.0 < S0 < math.inf:
+        raise DomainError(f"S0 must be finite and positive, got {S0}")
+    if not 0.0 < vol < math.inf:
+        raise DomainError(f"vol must be finite and positive, got {vol}")
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"T must be finite and positive, got {T}")
     s = S0 * vol * math.sqrt(T)
     inputs = {"payoff": payoff.to_config(), "S0": S0, "vol": vol, "T": T}
     order = payoff.holder_gamma if kind == "price" else payoff.holder_gamma - 0.5
@@ -396,8 +396,8 @@ def delta_parity_and_itm(r: float, q: float, T: float):
     parity = (e^{-qT} - e^{-rT}) / ((r - q) T), continuous at r = q where
     it equals e^{-rT}; taylor = 1 - (r+q)T/2 + (r^2 + rq + q^2) T^2 / 6.
     """
-    if not T > 0.0:
-        raise DomainError(f"T must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"T must be finite and positive, got {T}")
     if abs(r - q) < 1e-12:
         parity = math.exp(-r * T)
     else:

@@ -86,6 +86,12 @@ class ConvergenceReport:
         )
 
 
+def _check_hypothesis(hypothesized_order: float, slack: float) -> None:
+    for name, value in (("hypothesized_order", hypothesized_order), ("slack", slack)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+
+
 def convergence_report(
     errors: Sequence, hypothesized_order: float, slack: float = 0.2
 ) -> ConvergenceReport:
@@ -98,9 +104,7 @@ def convergence_report(
     relative standard errors, so rescaling all values (and their errors)
     by a constant moves the intercept only, never the fitted order.
     """
-    for name, value in (("hypothesized_order", hypothesized_order), ("slack", slack)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
+    _check_hypothesis(hypothesized_order, slack)
     rows = [(float(t), float(v), float(se)) for t, v, se in errors]
     if len(rows) < 4:
         raise ValidationError(f"need at least 4 grid points, got {len(rows)}")
@@ -179,8 +183,10 @@ def asymptotics_error_study(
     the control-variate estimator mc_asian_price_cv.  Path counts
     grow like 1/T (from cfg.n_paths at the largest T) unless disabled.
     Returns (ConvergenceReport, rows) where rows are dicts per T with the
-    raw estimates for dumping.
+    raw estimates for dumping.  A non-finite hypothesized_order or slack is
+    refused before any estimate runs.
     """
+    _check_hypothesis(hypothesized_order, slack)
     if style not in ("asian", "european"):
         raise ValidationError(f"style must be asian or european, got '{style}'")
     if estimator not in ("price", "delta-fd", "delta-malliavin"):
@@ -284,7 +290,8 @@ def compare_experiment(
     vol, and - for constant volatility only - the exact geometric-average
     price at that vol.  All error columns share the single MC estimate
     per T, so their differences are not independently noisy, and a
-    convergence report is fitted to each error column.
+    convergence report is fitted to each error column.  Its (order, slack)
+    hypotheses are checked before any estimate runs.
     """
     if payoff.family not in ("call", "put"):
         raise ValidationError(
@@ -299,6 +306,9 @@ def compare_experiment(
     T_max = max(T_grid)
     if hypotheses is None:
         hypotheses = {"matched": (1.0, 0.2), "unmatched": (0.5, 0.2), "geo": (1.0, 0.2)}
+    columns = ("matched", "unmatched", "geo") if geo_enabled else ("matched", "unmatched")
+    for col in columns:
+        _check_hypothesis(*hypotheses[col])
 
     n = len(T_grid)
     out = {k: np.full(n, math.nan) for k in
@@ -316,9 +326,7 @@ def compare_experiment(
             out["geo"][i] = geometric_bs(sigma0, params, payoff.family, K, T)[0]
 
     reports = {}
-    for col in ("matched", "unmatched", "geo"):
-        if col == "geo" and not geo_enabled:
-            continue
+    for col in columns:
         hyp, slack = hypotheses[col]
         errs = np.abs(out["mc"] - out[col])
         reports[col] = convergence_report(

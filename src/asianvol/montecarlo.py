@@ -22,12 +22,13 @@ Euler, so at zero drift the two pairs agree bit for bit.  The frozen
 processes step by their exact factors or increments, with coefficients
 sigma(t_j, S0) and dcoef_dx(t_j, S0) from one call.  A process that leaves
 its domain (non-finite, or a nonpositive level) is held at its last valid
-value and its path is marked exploded.  Each step's rows go to a fold
-that the caller supplies: the estimators fold them into a few (B,) rows
-(a trapezoid average, the Malliavin weights' prefix sums), and only
-simulate keeps histories.
+value and its path is marked exploded.  The kernel keeps the trapezoid
+averages its caller names, then hands each step's rows to the caller's
+fold: the Malliavin weights' prefix sums, or simulate's histories.
 
-Randomness is counter-based and addressed by (seed, path, step).  Every
+Randomness is counter-based and addressed by (seed, path, step).  The
+kernel draws nothing: it steps the increments it is handed, and one
+helper, _increments, makes a block's increments from its normals.  Every
 estimator hands its per-path values to one block reducer, _reduce, which
 works on a fixed block structure: means are compensated sums of the
 blocks' pairwise sums, and covariances merge per-block moments in block
@@ -61,7 +62,9 @@ and are counted in diagnostics.
 Memory per block per thread: the increments, the draw's own temporaries
 and a few (B,) rows; a traced block peaks at _BLOCK_PEAK (B, steps)
 arrays at most.  A run whose block would hold more than _MAX_ELEMENTS
-values at that peak is refused before any draw.
+values at that peak is refused before any draw.  simulate holds its whole
+run (eight histories and the increments) plus one draw per thread, and
+refuses a run whose histories and increments pass _MAX_ELEMENTS values.
 """
 
 from __future__ import annotations
@@ -152,32 +155,33 @@ def _t_left(T: float, steps: int) -> np.ndarray:
     return (T / steps) * np.arange(steps)
 
 
-def _sim_block(
-    surface: LocalVolSurface,
-    params: MarketParams,
-    T: float,
-    cfg: SimConfig,
-    lo: int,
-    hi: int,
-    include: Sequence[str],
-    fold=None,
-    order: int = 0,
-):
-    """Evolve paths [lo, hi) of the included processes; returns (ends, dW, exploded).
+def _increments(T: float, cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
+    """The Brownian increments of paths [lo, hi): their normals, scaled in place by sqrt(dt)."""
+    dW = normal_block(cfg.seed, cfg.steps, lo, hi)
+    dW *= math.sqrt(T / cfg.steps)
+    return dW
 
-    A sensitivity is evolved only when included, its level whenever either
-    of the pair is.  A level's coefficients are sigma(t_j, L, k), the tuple
-    (sigma, a', a'')[:k + 1], with k = order, raised to 1 when its
-    sensitivity is evolved.  After each step's domain check,
-    fold(j, rows, new, coefs, dW_j), if given, sees the rows at t_j and at
-    t_{j+1} and the coefficient tuples, dicts by name.  ``ends`` maps each
-    included name to its row at T; ``exploded`` marks the paths on which
-    any evolved process left its domain.
+
+def _sim_block(surface: LocalVolSurface, params: MarketParams, T: float, cfg: SimConfig,
+               lo: int, hi: int, dW: np.ndarray, include: Sequence[str], fold=None,
+               order: int = 0, average: Sequence[str] = ()):
+    """Step paths [lo, hi) of the included processes; returns (ends, averages, exploded).
+
+    dW holds the block's increments, shape (hi - lo, steps); it is read,
+    never written.  A sensitivity is evolved only when included, its level
+    whenever either of the pair is.  A level's coefficients are
+    sigma(t_j, L, k), the tuple (sigma, a', a'')[:k + 1], with k = order,
+    raised to 1 when its sensitivity is evolved.  After each step's domain
+    check, fold(j, rows, new, coefs, dW_j), if given, sees the rows at t_j
+    and at t_{j+1} and the coefficient tuples, dicts by name.  ``ends``
+    maps each included name to its row at T; ``averages`` maps each name in
+    ``average`` ("S", "X", "Y", or "logS" for log S; the row must be
+    evolved) to (1/T) Int . dt by the trapezoid rule, summed panel by panel
+    in time order; ``exploded`` marks the paths on which any evolved
+    process left its domain.
     """
     steps, dt = cfg.steps, T / cfg.steps
     S0, B = params.S0, hi - lo
-    dW = normal_block(cfg.seed, steps, lo, hi)
-    dW *= math.sqrt(dt)
     pairs = [(level, sens, mu, max(order, int(sens in include)))
              for level, sens, mu in (("S", "Z", params.drift), ("X", "Y", 0.0))
              if level in include or sens in include]
@@ -191,6 +195,9 @@ def _sim_block(
         g = {name: c[name[0]] * rows[name][0] if name[1] == "h" else c[name[0]]
              for name in frozen}
     checked = [(name, 0.0 if name in "SX" else -np.inf) for name in evolved]
+    sums = [(name.removeprefix("log"), name.startswith("log")) for name in average]
+    left = [np.log(rows[src]) if log else rows[src] for src, log in sums]
+    acc = np.zeros((len(sums), B))
     exploded = np.zeros(B, dtype=bool)
     for j in range(steps):
         tj, dWj, new, coefs = j * dt, dW[:, j], {}, {}
@@ -213,23 +220,16 @@ def _sim_block(
                 bad = ~((row > low) & (row < np.inf))
                 row[bad] = rows[name][bad]
                 exploded |= bad
+        for i, (src, log) in enumerate(sums):
+            right = np.log(new[src]) if log else new[src]
+            acc[i] += 0.5 * (left[i] + right) * dt
+            left[i] = right
         if fold is not None:
             fold(j, rows, new, coefs, dWj)
         rows = new
     for name in frozen:
         exploded |= ~np.isfinite(rows[name])  # a non-finite value persists
-    return {name: rows[name] for name in include}, dW, exploded
-
-
-def _trap_mean(h: np.ndarray, T: float) -> np.ndarray:
-    """(1/T) Int h dt per path of a (B, steps+1) history, by the trapezoid
-    rule summed panel by panel in time order."""
-    steps = h.shape[1] - 1
-    dt = T / steps
-    acc = np.zeros(h.shape[0])
-    for j in range(steps):
-        acc += 0.5 * (h[:, j] + h[:, j + 1]) * dt
-    return acc / T
+    return {name: rows[name] for name in include}, dict(zip(average, acc / T)), exploded
 
 
 def _block_ranges(n: int):
@@ -298,44 +298,46 @@ def _reduce(block_fn, cfg: SimConfig):
 # ---------------------------------------------------------------------------
 
 def simulate(surface: LocalVolSurface, params: MarketParams, T: float, cfg: SimConfig) -> PathBundle:
-    """Full-history simulation of all eight processes on one driver.
+    """Full-history simulation of all eight processes on one driver, for inspection.
 
-    Intended for inspection and the coupled-pair studies;
-    refuses runs whose histories would not comfortably fit in memory.
+    Each block writes its rows straight into whole-run time-major histories
+    (``processes`` holds their transposes) and its increments into one
+    (n_paths, steps) array; the averages are the kernel's trapezoid sums.
+    A run whose histories and increments would hold more than _MAX_ELEMENTS
+    values is refused before any draw.
     """
     if not 0.0 < T < math.inf:
         raise DomainError(f"T must be finite and positive, got {T}")
-    total = cfg.n_paths * (cfg.steps + 1) * len(PROCESS_NAMES)
+    n, steps = cfg.n_paths, cfg.steps
+    total = n * ((steps + 1) * len(PROCESS_NAMES) + steps)
     if total > _MAX_ELEMENTS:
         raise ValidationError(
             f"history of {total:.2g} elements is too large; use the estimators, "
             "which stream in blocks"
         )
+    hist = {name: np.empty((steps + 1, n)) for name in PROCESS_NAMES}
+    dW, exploded = np.empty((n, steps)), np.empty(n, dtype=bool)
+    averages = {name: np.empty(n) for name in ("S", "X", "Y", "logS")}
 
     def block(lo, hi):
-        # time-major histories, one contiguous row per step, returned transposed
-        hist = {name: np.empty((cfg.steps + 1, hi - lo)) for name in PROCESS_NAMES}
-
         def keep(j, rows, new, coefs, dWj):
             for name in PROCESS_NAMES:
-                hist[name][j] = rows[name]
+                hist[name][j, lo:hi] = rows[name]
 
-        ends, dW, exploded = _sim_block(surface, params, T, cfg, lo, hi, PROCESS_NAMES, keep)
+        dW[lo:hi] = _increments(T, cfg, lo, hi)
+        ends, avg, exploded[lo:hi] = _sim_block(surface, params, T, cfg, lo, hi, dW[lo:hi],
+                                                PROCESS_NAMES, keep, average=tuple(averages))
         for name in PROCESS_NAMES:
-            hist[name][-1] = ends[name]
-        return {name: h.T for name, h in hist.items()}, dW, exploded
+            hist[name][-1, lo:hi] = ends[name]
+        for name, a in avg.items():
+            averages[name][lo:hi] = a
 
-    blocks = _map_blocks(block, _block_ranges(cfg.n_paths), cfg.threads)
-    processes = {name: np.concatenate([b[0][name] for b in blocks])
-                 for name in PROCESS_NAMES}
-    averages = {name: _trap_mean(processes[name], T) for name in ("S", "X", "Y")}
-    averages["logS"] = _trap_mean(np.log(processes["S"]), T)
-    exploded = np.concatenate([b[2] for b in blocks])
+    _map_blocks(block, _block_ranges(n), cfg.threads)
     return PathBundle(
-        t=np.linspace(0.0, T, cfg.steps + 1),
-        processes=processes,
+        t=np.linspace(0.0, T, steps + 1),
+        processes={name: h.T for name, h in hist.items()},
         averages=averages,
-        increments=np.concatenate([b[1] for b in blocks]),
+        increments=dW,
         exploded=exploded,
         n_exploded=int(exploded.sum()),
         config=cfg,
@@ -348,27 +350,16 @@ def simulate(surface: LocalVolSurface, params: MarketParams, T: float, cfg: SimC
 
 def _style_leg(surface, params, style: str, T: float, cfg: SimConfig, lo, hi,
                include=("S",), fold=None, order: int = 0):
-    """(payoff arguments, exploded, dW, ends) of paths [lo, hi).
+    """(payoff arguments, exploded, dW, ends) of paths [lo, hi) on their own increments.
 
-    The argument is the trapezoid average of S (asian), S_T (european), or
-    exp of the trapezoid average of log S (geometric), the average summed
-    panel by panel in time order as the kernel steps.  ``fold``, if given,
-    sees each step after the average does.
+    The argument is the kernel's trapezoid average of S (asian), S_T
+    (european), or exp of the trapezoid average of log S (geometric).
     """
-    dt, f = T / cfg.steps, (np.log if style == "geometric" else (lambda s: s))
-    acc, left = np.zeros(hi - lo), None
-
-    def step(j, rows, new, coefs, dWj):
-        nonlocal acc, left
-        if style != "european":
-            right = f(new["S"])
-            acc += 0.5 * ((f(rows["S"]) if j == 0 else left) + right) * dt
-            left = right
-        if fold is not None:
-            fold(j, rows, new, coefs, dWj)
-
-    ends, dW, exploded = _sim_block(surface, params, T, cfg, lo, hi, include, step, order)
-    x = ends["S"] if style == "european" else acc / T
+    dW = _increments(T, cfg, lo, hi)
+    average = {"asian": ("S",), "geometric": ("logS",)}.get(style, ())
+    ends, averages, exploded = _sim_block(
+        surface, params, T, cfg, lo, hi, dW, include, fold, order, average)
+    x = averages[average[0]] if average else ends["S"]
     return (np.exp(x) if style == "geometric" else x), exploded, dW, ends
 
 

@@ -336,6 +336,18 @@ class TestAsymPrice:
         with pytest.raises(DomainError):
             asym_price(pay, 100.0, 0.2, -0.25)
 
+    @pytest.mark.parametrize("fn", [asym_price, asym_delta])
+    @pytest.mark.parametrize(
+        "S0, vol, T, named",
+        [(100.0, 0.2, math.inf, "T"), (100.0, 0.2, math.nan, "T"),
+         (100.0, math.inf, 0.25, "vol"), (100.0, math.nan, 0.25, "vol"),
+         (math.inf, 0.2, 0.25, "S0")],
+    )
+    def test_rejects_non_finite_inputs(self, fn, S0, vol, T, named):
+        pay = PayoffSpec(family="call", strike=100.0)
+        with pytest.raises(DomainError, match=f"^{named} must be finite and positive, got"):
+            fn(pay, S0, vol, T, style="asian")
+
 
 # ---------------------------------------------------------------------------
 # asymptotic deltas
@@ -527,6 +539,11 @@ class TestDeltaParity:
         for T in (0.01, 0.05, 0.1):
             parity, taylor = delta_parity_and_itm(0.07, 0.01, T)
             assert abs(parity - taylor) < 1e-6, f"T={T}"
+
+    @pytest.mark.parametrize("T", [math.inf, math.nan, 0.0, -0.5])
+    def test_rejects_a_maturity_that_is_not_finite_and_positive(self, T):
+        with pytest.raises(DomainError, match="^T must be finite and positive, got"):
+            delta_parity_and_itm(0.03, 0.01, T)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from asianvol import cli
+from asianvol import cli, harness
 from asianvol.errors import ValidationError
 from asianvol.harness import (
     DEFAULT_T_GRID,
@@ -26,6 +26,15 @@ T_GRID = np.geomspace(0.0125, 0.2, 8)[::-1]
 def rows_from(t, values, std_errors=None):
     se = np.zeros_like(values) if std_errors is None else std_errors
     return list(zip(t, values, se))
+
+
+def never_estimate(monkeypatch):
+    """Make every Monte Carlo estimator the harness calls fail if it runs."""
+    def never(*args, **kwargs):
+        raise AssertionError("an estimate ran")
+
+    for name in ("mc_price", "mc_asian_price_cv", "mc_delta_fd", "mc_delta_malliavin"):
+        monkeypatch.setattr(harness, name, never)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +114,16 @@ class TestErrorStudy:
             asymptotics_error_study(ConstantVol(0.2), FLAT, CALL, "asian", "likelihood",
                                     DEFAULT_T_GRID, cfg, 1.0)
 
+    @pytest.mark.parametrize("key, value", [("hypothesized_order", math.inf), ("slack", math.nan)])
+    @pytest.mark.parametrize("estimator", ["price", "delta-fd", "delta-malliavin"])
+    def test_a_non_finite_hypothesis_fails_before_any_estimate(self, monkeypatch, key, value,
+                                                               estimator):
+        never_estimate(monkeypatch)
+        hypothesis = {"hypothesized_order": 1.0, "slack": 0.2, key: value}
+        with pytest.raises(ValidationError, match=f"^{key} must be finite, got {value}$"):
+            asymptotics_error_study(ConstantVol(0.2), FLAT, CALL, "asian", estimator,
+                                    DEFAULT_T_GRID, SimConfig(10, 10, 0), **hypothesis)
+
     def test_atm_delta_gap_scales_like_sqrt_t(self):
         # ATM Asian call delta sits sqrt(T)-close to 1/2
         cfg = SimConfig(steps=50, n_paths=20000, seed=41)
@@ -156,6 +175,20 @@ class TestCompare:
         with pytest.raises(ValidationError, match="call or put"):
             compare_experiment(ConstantVol(0.2), FLAT, PayoffSpec("linear", slope=1.0),
                                DEFAULT_T_GRID, SimConfig(10, 10, 0))
+
+    @pytest.mark.parametrize(
+        "column, pair, message",
+        [("unmatched", (math.nan, 0.2), "hypothesized_order must be finite, got nan"),
+         ("geo", (1.0, math.inf), "slack must be finite, got inf")],
+    )
+    def test_a_non_finite_hypothesis_fails_before_any_estimate(self, monkeypatch, column,
+                                                               pair, message):
+        never_estimate(monkeypatch)
+        hypotheses = {"matched": (1.0, 0.2), "unmatched": (0.5, 0.2), "geo": (1.0, 0.2)}
+        hypotheses[column] = pair
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            compare_experiment(ConstantVol(0.2), FLAT, CALL, DEFAULT_T_GRID,
+                               SimConfig(10, 10, 0), hypotheses=hypotheses)
 
     def test_degenerate_zero_vol_all_columns_identical(self):
         itm = PayoffSpec("call", strike=90.0)

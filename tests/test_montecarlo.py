@@ -63,6 +63,18 @@ def cold_store(monkeypatch):
     monkeypatch.setattr(_rng, "_kept", {})
 
 
+def refuse_draws(monkeypatch):
+    """Record every normal block the engine asks for, and fail it."""
+    calls = []
+
+    def draw(*args):
+        calls.append(args)
+        raise RuntimeError("a normal block was drawn")
+
+    monkeypatch.setattr(montecarlo, "normal_block", draw)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # the Brownian driver
 # ---------------------------------------------------------------------------
@@ -379,9 +391,63 @@ class TestProcesses:
         with pytest.raises(ValidationError, match="too large"):
             simulate(SKEW, FLAT, 1.0, cfg)
 
+    def test_history_size_guard_counts_the_increments(self, monkeypatch):
+        # 24 000 x 8 x 1001 = 1.92e8 history values fit 2e8; with the
+        # 2.4e7 increments the run holds 2.16e8 and is refused before any draw
+        calls = refuse_draws(monkeypatch)
+        with pytest.raises(ValidationError, match="history of 2.2e"):
+            simulate(SKEW, FLAT, 1.0, SimConfig(steps=1000, n_paths=24000, seed=0))
+        assert calls == []
+
     def test_negative_maturity_rejected(self):
         with pytest.raises(DomainError):
             simulate(SKEW, FLAT, -1.0, SimConfig(steps=10, n_paths=10, seed=0))
+
+
+# ---------------------------------------------------------------------------
+# the kernel steps the increments it is handed
+# ---------------------------------------------------------------------------
+
+class TestKernelSeam:
+    """_sim_block on hand-made increments, with every normal draw refused."""
+
+    def test_zero_increments_hold_every_process_at_its_start(self, monkeypatch):
+        calls = refuse_draws(monkeypatch)
+        cfg = SimConfig(steps=8, n_paths=5, seed=0, scheme="euler")
+        dW = np.zeros((5, 8))
+        dW.flags.writeable = False  # the kernel reads its increments only
+        ends, averages, exploded = montecarlo._sim_block(
+            SKEW, FLAT, 1.0, cfg, 0, 5, dW, ("S", "Z", "X", "Y", "Xh", "Yh"),
+            average=("S", "X", "Y", "logS"))
+        assert calls == [] and not exploded.any()
+        for name, start in (("S", 100.0), ("Z", 1.0), ("X", 100.0), ("Y", 1.0),
+                            ("Xh", 100.0), ("Yh", 1.0)):
+            assert np.all(ends[name] == start), name
+        # dt = 1/8: every panel and partial sum is exact
+        for name, start in (("S", 100.0), ("X", 100.0), ("Y", 1.0)):
+            assert np.all(averages[name] == start), name
+        np.testing.assert_allclose(averages["logS"], math.log(100.0), rtol=1e-15)
+
+    def test_one_euler_step(self, monkeypatch):
+        refuse_draws(monkeypatch)
+        cfg = SimConfig(steps=2, n_paths=4, seed=0, scheme="euler")
+        dW0 = np.array([-0.1, -0.01, 0.02, 0.15])
+        dW = np.column_stack([dW0, np.zeros(4)])  # the second step holds S
+        dW.flags.writeable = False
+        ends, averages, exploded = montecarlo._sim_block(
+            SKEW, FLAT, 0.5, cfg, 0, 4, dW, ("S",), average=("S",))
+        S1 = 100.0 * (1.0 + SKEW.sigma(0.0, np.full(4, 100.0)) * dW0)
+        assert not exploded.any()
+        assert ends["S"].tobytes() == S1.tobytes()
+        dt = 0.25
+        want = (0.5 * (100.0 + S1) * dt + 0.5 * (S1 + S1) * dt) / 0.5
+        assert averages["S"].tobytes() == want.tobytes()
+
+    def test_increments_are_the_scaled_normals(self):
+        cfg = SimConfig(steps=12, n_paths=300, seed=21)
+        got = montecarlo._increments(0.7, cfg, 40, 300)
+        want = normal_block(21, 12, 40, 300) * math.sqrt(0.7 / 12)
+        assert got.shape == (260, 12) and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -394,22 +460,18 @@ class TestRefinement:
     def test_euler_asian_price_refines_at_first_order(self):
         # nested coupling: increments drawn once on the finest grid and
         # aggregated pairwise give common random numbers across all step
-        # counts, so E[P_N - P_2N] isolates the O(1/N) weak error
-        T, sigma, S0, mu = 1.0, 0.3, 100.0, 0.2
+        # counts, so E[P_N - P_2N] isolates the O(1/N) weak error; the
+        # package kernel steps each coarsened set
+        T, S0, params = 1.0, 100.0, MarketParams(100.0, 0.2, 0.0)
         n_paths, fine = 100000, 400
         z = normal_block(seed=55, n_steps=fine, lo=0, hi=n_paths) * math.sqrt(T / fine)
 
         def euler_asian_payoff(dW):
-            n = dW.shape[1]
-            dt = T / n
-            S = np.full(n_paths, S0)
-            avg = np.zeros(n_paths)
-            prev = S
-            for j in range(n):
-                S = S * (1.0 + mu * dt + sigma * dW[:, j])
-                avg += 0.5 * (prev + S) * dt
-                prev = S
-            return np.maximum(avg / T - S0, 0.0)
+            cfg = SimConfig(steps=dW.shape[1], n_paths=n_paths, seed=55, scheme="euler")
+            _, averages, exploded = montecarlo._sim_block(
+                ConstantVol(0.3), params, T, cfg, 0, n_paths, dW, ("S",), average=("S",))
+            assert not exploded.any()
+            return np.maximum(averages["S"] - S0, 0.0)
 
         def coarsen(dW, k):
             return dW.reshape(n_paths, -1, k).sum(axis=2)
@@ -832,18 +894,6 @@ class TestMalliavinDelta:
         se_w = math.sqrt(diag["weight_var"] / n)
         assert abs(diag["weight_mean"]) < 5 * se_w
 
-    @staticmethod
-    def refuse_draws(monkeypatch):
-        """Record every normal block the estimators ask for, and fail it."""
-        calls = []
-
-        def draw(*args):
-            calls.append(args)
-            raise RuntimeError("a normal block was drawn")
-
-        monkeypatch.setattr(montecarlo, "normal_block", draw)
-        return calls
-
     GUARDED = {
         "price": lambda c: mc_price(SKEW, FLAT, CALL, "asian", 0.5, c),
         "price-cv": lambda c: mc_asian_price_cv(SKEW, FLAT, CALL, 0.5, c),
@@ -855,14 +905,14 @@ class TestMalliavinDelta:
     @pytest.mark.parametrize("name", list(GUARDED))
     def test_budget_guard(self, monkeypatch, name):
         # one block would peak at 2.2 x 8192 x 12000 = 2.16e8 values, over the 2e8 limit
-        calls = self.refuse_draws(monkeypatch)
+        calls = refuse_draws(monkeypatch)
         cfg = SimConfig(steps=12000, n_paths=BLOCK, seed=0)
         with pytest.raises(ValidationError, match="a block of 2.16e"):
             self.GUARDED[name](cfg)
         assert calls == []
 
     def test_guard_does_not_depend_on_threads(self, monkeypatch):
-        calls = self.refuse_draws(monkeypatch)
+        calls = refuse_draws(monkeypatch)
         messages = []
         for threads in (1, 8):
             cfg = SimConfig(steps=12000, n_paths=BLOCK, seed=0, threads=threads)
@@ -953,6 +1003,21 @@ class TestBlockMemory:
             tracemalloc.stop()
         arrays = peak / (8 * BLOCK * self.CFG.steps)
         assert arrays <= limit, f"{name}: peak of {arrays:.2f} (B, steps) arrays"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_simulate_peaks_near_what_its_guard_counts(self, threads):
+        # the whole-run histories and increments the guard counts, plus one
+        # block's draw per working thread: two 8192 x 100 arrays, 7% of the count
+        cfg = SimConfig(steps=100, n_paths=3 * BLOCK, seed=4, threads=threads)
+        counted = cfg.n_paths * ((cfg.steps + 1) * len(PROCESS_NAMES) + cfg.steps)
+        tracemalloc.start()
+        try:
+            simulate(SKEW, self.PARAMS, 0.25, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ratio = peak / (8 * counted)
+        assert ratio <= 1.25, f"threads {threads}: peak of {ratio:.2f} x the counted values"
 
     @pytest.mark.parametrize("name", ["price", "delta-fd"])
     def test_a_kept_block_costs_one_array(self, name, cold_store):
