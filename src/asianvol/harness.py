@@ -23,6 +23,7 @@ O(T) price gap is resolvable at moderate path budgets.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -290,8 +291,9 @@ def compare_experiment(
     vol, and - for constant volatility only - the exact geometric-average
     price at that vol.  All error columns share the single MC estimate
     per T, so their differences are not independently noisy, and a
-    convergence report is fitted to each error column.  Its (order, slack)
-    hypotheses are checked before any estimate runs.
+    convergence report is fitted to each error column.  Each fitted column
+    needs an (order, slack) pair of finite reals in `hypotheses`, checked
+    before any estimate runs.
     """
     if payoff.family not in ("call", "put"):
         raise ValidationError(
@@ -308,7 +310,12 @@ def compare_experiment(
         hypotheses = {"matched": (1.0, 0.2), "unmatched": (0.5, 0.2), "geo": (1.0, 0.2)}
     columns = ("matched", "unmatched", "geo") if geo_enabled else ("matched", "unmatched")
     for col in columns:
-        _check_hypothesis(*hypotheses[col])
+        pair = hypotheses.get(col)
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                and all(isinstance(v, numbers.Real) for v in pair)):
+            raise ValidationError(f"hypotheses['{col}'] must be an (order, slack) pair "
+                                  f"of real numbers, got {pair!r}")
+        _check_hypothesis(*pair)
 
     n = len(T_grid)
     out = {k: np.full(n, math.nan) for k in

@@ -59,12 +59,12 @@ denominators fall below 1e-6 of their expected scale get weight zero
 (mirroring the indicator truncations that make the weights integrable)
 and are counted in diagnostics.
 
-Memory per block per thread: the increments, the draw's own temporaries
-and a few (B,) rows; a traced block peaks at _BLOCK_PEAK (B, steps)
-arrays at most.  A run whose block would hold more than _MAX_ELEMENTS
-values at that peak is refused before any draw.  simulate holds its whole
-run (eight histories and the increments) plus one draw per thread, and
-refuses a run whose histories and increments pass _MAX_ELEMENTS values.
+Memory per block per thread: the draw's one (B, steps) array, which becomes
+the increments, at most one copy of it kept by _rng, and a few (B,) rows; a
+traced 200-step block peaks at _BLOCK_PEAK arrays.  A run whose block would
+hold more than _MAX_ELEMENTS values at that peak is refused before any draw.
+simulate holds its whole run (eight histories and the increments) and its
+draws, and refuses a run whose histories and increments pass _MAX_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ __all__ = [
 PROCESS_NAMES = ("S", "X", "Y", "Z", "Xt", "Yt", "Xh", "Yh")
 _STYLES = ("asian", "european", "geometric")
 _MAX_ELEMENTS = 2e8  # float64 values one block or one simulate run may hold
-_BLOCK_PEAK = 2.2  # (B, steps) arrays at a traced block's peak: the draw's two, a few (B,) rows
+_BLOCK_PEAK = 2.2  # (B, steps) arrays at a traced block's peak: the draw, one kept copy, (B,) rows
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,20 @@ class TestCompare:
             compare_experiment(ConstantVol(0.2), FLAT, CALL, DEFAULT_T_GRID,
                                SimConfig(10, 10, 0), hypotheses=hypotheses)
 
+    @pytest.mark.parametrize(
+        "hypotheses, column",
+        [({"matched": (1.0, 0.2)}, "unmatched"),
+         ({"matched": (1.0, 0.2), "unmatched": "ab", "geo": (1.0, 0.2)}, "unmatched"),
+         ({"matched": (1.0,), "unmatched": (0.5, 0.2), "geo": (1.0, 0.2)}, "matched"),
+         ({"matched": (1.0, 0.2), "unmatched": (0.5, 0.2), "geo": None}, "geo")],
+    )
+    def test_a_malformed_hypothesis_names_its_column(self, monkeypatch, hypotheses, column):
+        never_estimate(monkeypatch)
+        with pytest.raises(ValidationError, match=rf"^hypotheses\['{column}'\] must be an "
+                                                  r"\(order, slack\) pair of real numbers"):
+            compare_experiment(ConstantVol(0.2), FLAT, CALL, DEFAULT_T_GRID,
+                               SimConfig(10, 10, 0), hypotheses=hypotheses)
+
     def test_degenerate_zero_vol_all_columns_identical(self):
         itm = PayoffSpec("call", strike=90.0)
         tab = compare_experiment(ConstantVol(0.0), FLAT, itm, (0.2, 0.1, 0.05, 0.025),

@@ -39,6 +39,7 @@ from asianvol import _rng, montecarlo
 from asianvol.approxlab import lp_distance_curve
 from asianvol._rng import BLOCK, normal_block
 from asianvol.asymptotics import geometric_bs
+from asianvol.harness import DEFAULT_T_GRID, asymptotics_error_study
 
 FLAT = MarketParams(S0=100.0, r=0.0, q=0.0)
 DRIFTY = MarketParams(S0=100.0, r=0.05, q=0.01)
@@ -107,16 +108,19 @@ class TestDriver:
         assert abs(z.var() - 1.0) < 4 * math.sqrt(2.0 / n)
         assert np.isfinite(z).all()
 
-    @pytest.mark.parametrize("n_steps, lo, hi", [(7, 3, 11), (5, 1, 2), (3, 7, 40)])
+    @pytest.mark.parametrize(
+        "n_steps, lo, hi", [(7, 3, 11), (5, 1, 2), (3, 7, 40), (7, 3, 20000)])
     def test_matches_an_independent_philox_reference(self, n_steps, lo, hi):
-        # word offsets lo * n_steps = 21, 5, 21: none a multiple of Philox's
-        # 4-word counter block; the reference draws every word from 0
+        # word offsets lo * n_steps = 21, 5, 21, 21: none a multiple of Philox's
+        # 4-word counter block; the reference draws every word from 0.  The
+        # last case spans 139,979 words, three conversion chunks, the last ragged
         assert (lo * n_steps) % 4
         words = Philox(key=2024).random_raw(hi * n_steps)[lo * n_steps:]
         u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
         ref = ndtri(u).reshape(hi - lo, n_steps)
         got = normal_block(2024, n_steps, lo, hi)
         assert got.tobytes() == ref.tobytes()
+        assert _rng._draw(2024, n_steps, lo, hi).tobytes() == ref.tobytes()
 
     def test_top_word_gives_a_finite_normal(self, monkeypatch, cold_store):
         # a word whose top 53 bits are all ones would round to u = 1.0;
@@ -193,23 +197,76 @@ class TestKeptBlocks:
         assert back.tobytes() == _rng._draw(13, 16, 0, 100).tobytes()
 
     def test_kept_bytes_stay_within_the_bound(self):
-        assert _rng.KEEP_BYTES == 4 * 2**20
+        # 12.5 MiB: two full blocks at 100 steps, or one at 200
+        assert _rng.KEEP_BYTES == 2 * BLOCK * 100 * 8 == BLOCK * 200 * 8
 
         def kept_bytes():
             return sum(a.nbytes for a in _rng._kept.values())
 
-        normal_block(15, 100, 0, BLOCK)  # 6.25 MiB on its own: never kept
+        normal_block(15, 201, 0, BLOCK)  # 12.56 MiB on its own: never kept
         assert _rng._kept == {}
-        normal_block(16, 50, 0, BLOCK)  # 3.125 MiB
-        normal_block(16, 50, BLOCK, 2 * BLOCK)  # would make 6.25 MiB
-        normal_block(16, 50, 2 * BLOCK, 2 * BLOCK + 2000)  # 0.76 MiB more fits
-        normal_block(16, 50, 3 * BLOCK, 3 * BLOCK + 2000)  # would pass the bound
-        assert set(_rng._kept) == {(0, BLOCK), (2 * BLOCK, 2 * BLOCK + 2000)}
-        assert kept_bytes() <= _rng.KEEP_BYTES
-        normal_block(17, 64, 0, BLOCK)  # a full block at 64 steps fits exactly
+        normal_block(16, 100, 0, BLOCK)  # 6.25 MiB
+        normal_block(16, 100, BLOCK, 2 * BLOCK)  # the second block fits exactly
+        normal_block(16, 100, 2 * BLOCK, 2 * BLOCK + 1)  # one path more does not
+        assert set(_rng._kept) == {(0, BLOCK), (BLOCK, 2 * BLOCK)}
+        assert kept_bytes() == _rng.KEEP_BYTES
+        normal_block(17, 100, 0, 12000)  # another stream: 9.16 MiB
+        normal_block(17, 100, 6000, 18000)  # its 4.58 MiB gap would pass the bound
+        assert set(_rng._kept) == {(0, 12000)}
+        normal_block(17, 100, 12000, 2 * BLOCK)  # a 3.34 MiB gap fits exactly
+        assert set(_rng._kept) == {(0, 12000), (12000, 2 * BLOCK)}
+        assert kept_bytes() == _rng.KEEP_BYTES
+        normal_block(18, 200, 0, BLOCK)  # a full block at 200 steps fits exactly
         assert set(_rng._kept) == {(0, BLOCK)} and kept_bytes() == _rng.KEEP_BYTES
-        normal_block(17, 64, BLOCK, BLOCK + 1)
+        normal_block(18, 200, BLOCK, BLOCK + 1)  # nothing is evicted to make room
         assert set(_rng._kept) == {(0, BLOCK)}
+
+    def test_a_sub_range_of_a_kept_piece_draws_nothing(self, monkeypatch):
+        normal_block(30, 50, 0, 1000)
+        calls = self.counted_draws(monkeypatch)
+        z = normal_block(30, 50, 200, 700)
+        assert calls == []
+        assert z.tobytes() == _rng._draw(30, 50, 200, 700).tobytes()
+        assert z.flags.writeable and not np.shares_memory(z, _rng._kept[(0, 1000)])
+
+    def test_an_overlapping_request_draws_only_its_gaps(self, monkeypatch):
+        normal_block(31, 24, 100, 200)
+        normal_block(31, 24, 300, 400)
+        calls = self.counted_draws(monkeypatch)
+        z = normal_block(31, 24, 50, 450)
+        assert calls == [(31, 24, 50, 100), (31, 24, 200, 300), (31, 24, 400, 450)]
+        assert z.tobytes() == _rng._draw(31, 24, 50, 450).tobytes()
+        assert sorted(_rng._kept) == [(50, 100), (100, 200), (200, 300), (300, 400), (400, 450)]
+        calls.clear()
+        assert normal_block(31, 24, 60, 440).tobytes() == z[10:390].tobytes() and calls == []
+
+    def test_the_default_error_study_draws_each_normal_once(self, monkeypatch):
+        # 2,048 base paths at T = 0.2, scaled by 1/T down to 32,768 at 0.0125:
+        # 63,488 paths of requests, of which the first 32,768 are distinct
+        calls = self.counted_draws(monkeypatch)
+        asymptotics_error_study(ConstantVol(0.2), FLAT, CALL, "asian", "price",
+                                DEFAULT_T_GRID, SimConfig(100, 2048, 13), 1.0)
+        assert {c[:2] for c in calls} == {(13, 100)}
+        drawn = sorted(c[2:] for c in calls)
+        assert sum((hi - lo) * 100 for lo, hi in drawn) == 32768 * 100
+        assert all(a[1] <= b[0] for a, b in zip(drawn, drawn[1:]))
+
+    def test_pool_threads_asking_for_overlapping_ranges_get_the_reference(self):
+        ranges = [(0, 600), (300, 900), (100, 200), (500, 1200), (0, 1200), (850, 1000)] * 6
+        ref = _rng._draw(32, 16, 0, 1200)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as ex:
+                got = list(ex.map(lambda r: normal_block(32, 16, *r), ranges))
+        finally:
+            sys.setswitchinterval(interval)
+        for (lo, hi), z in zip(ranges, got):
+            assert z.tobytes() == ref[lo:hi].tobytes()
+        pieces = sorted(_rng._kept)
+        assert all(a[1] <= b[0] for a, b in zip(pieces, pieces[1:]))
+        for lo, hi in pieces:
+            assert _rng._kept[(lo, hi)].tobytes() == ref[lo:hi].tobytes()
 
     def test_pool_threads_drawing_one_stream_get_identical_arrays(self):
         ranges = [(lo, min(lo + 1000, 4500)) for lo in range(0, 4500, 1000)] * 6
@@ -461,28 +518,30 @@ class TestRefinement:
         # nested coupling: increments drawn once on the finest grid and
         # aggregated pairwise give common random numbers across all step
         # counts, so E[P_N - P_2N] isolates the O(1/N) weak error; the
-        # package kernel steps each coarsened set
+        # package kernel steps each coarsened set, BLOCK paths at a time
         T, S0, params = 1.0, 100.0, MarketParams(100.0, 0.2, 0.0)
         n_paths, fine = 100000, 400
-        z = normal_block(seed=55, n_steps=fine, lo=0, hi=n_paths) * math.sqrt(T / fine)
+        grids = (25, 50, 100, 200)
 
-        def euler_asian_payoff(dW):
+        def euler_asian_payoff(dW, lo, hi):
             cfg = SimConfig(steps=dW.shape[1], n_paths=n_paths, seed=55, scheme="euler")
             _, averages, exploded = montecarlo._sim_block(
-                ConstantVol(0.3), params, T, cfg, 0, n_paths, dW, ("S",), average=("S",))
+                ConstantVol(0.3), params, T, cfg, lo, hi, dW, ("S",), average=("S",))
             assert not exploded.any()
             return np.maximum(averages["S"] - S0, 0.0)
 
         def coarsen(dW, k):
-            return dW.reshape(n_paths, -1, k).sum(axis=2)
+            return dW.reshape(len(dW), -1, k).sum(axis=2)
 
-        grids = (25, 50, 100, 200)
-        diffs = []
-        for n in grids:
-            d = euler_asian_payoff(coarsen(z, fine // n)) - euler_asian_payoff(
-                coarsen(z, fine // (2 * n))
-            )
-            diffs.append(abs(float(d.mean())))
+        d = {n: [] for n in grids}
+        for lo in range(0, n_paths, BLOCK):
+            hi = min(lo + BLOCK, n_paths)
+            z = normal_block(seed=55, n_steps=fine, lo=lo, hi=hi)
+            z *= math.sqrt(T / fine)
+            for n in grids:
+                d[n].append(euler_asian_payoff(coarsen(z, fine // n), lo, hi)
+                            - euler_asian_payoff(coarsen(z, fine // (2 * n)), lo, hi))
+        diffs = [abs(float(np.concatenate(d[n]).mean())) for n in grids]
         slope = -np.polyfit(np.log(grids), np.log(diffs), 1)[0]
         assert slope >= 0.8, f"euler refinement order {slope:.3f}"
 
@@ -993,7 +1052,7 @@ class TestBlockMemory:
     }
 
     @pytest.mark.parametrize("name", list(RUNS))
-    def test_traced_peak(self, name):
+    def test_traced_peak(self, name, cold_store):
         run, limit = self.RUNS[name]
         tracemalloc.start()
         try:
@@ -1007,7 +1066,8 @@ class TestBlockMemory:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_simulate_peaks_near_what_its_guard_counts(self, threads):
         # the whole-run histories and increments the guard counts, plus one
-        # block's draw per working thread: two 8192 x 100 arrays, 7% of the count
+        # 8192 x 100 draw per working thread, 3.5% of the count each, and the
+        # two blocks that KEEP_BYTES holds at 100 steps, 7% together
         cfg = SimConfig(steps=100, n_paths=3 * BLOCK, seed=4, threads=threads)
         counted = cfg.n_paths * ((cfg.steps + 1) * len(PROCESS_NAMES) + cfg.steps)
         tracemalloc.start()
@@ -1019,23 +1079,35 @@ class TestBlockMemory:
         ratio = peak / (8 * counted)
         assert ratio <= 1.25, f"threads {threads}: peak of {ratio:.2f} x the counted values"
 
-    @pytest.mark.parametrize("name", ["price", "delta-fd"])
-    def test_a_kept_block_costs_one_array(self, name, cold_store):
-        # a full block at 64 steps fits KEEP_BYTES, so one copy is kept: the
-        # bound is the 200-step working arrays plus that copy, with the same
-        # slack of 20 per-path vectors, each 1/64 of an array here
-        run, limit = self.RUNS[name]
-        cfg = replace(self.CFG, steps=64)
+    def test_a_cold_draw_holds_one_array(self, cold_store):
+        # the conversion runs CHUNK words at a time into the output, so the
+        # draw adds a few chunks (1/25 of an array each here) to that array
         tracemalloc.start()
         try:
-            run(self.PARAMS, cfg)
+            _rng._draw(8, 200, 0, BLOCK)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert _rng._stream == (cfg.seed, 64) and set(_rng._kept) == {(0, BLOCK)}
-        arrays = peak / (8 * BLOCK * cfg.steps)
-        bound = (limit - 0.1) + 1 + 20 / 64
-        assert arrays <= bound, f"{name}: peak of {arrays:.2f} (B, steps) arrays"
+        arrays = peak / (8 * BLOCK * 200)
+        assert arrays <= 1.2, f"a cold draw peaks at {arrays:.2f} (B, steps) arrays"
+
+    @pytest.mark.parametrize("name", ["price", "delta-fd"])
+    def test_a_kept_block_costs_one_array(self, name, cold_store):
+        # a full block at 200 steps fits KEEP_BYTES, so one copy is kept: the
+        # bound is the draw's one array plus that copy, with a slack of 20
+        # per-path vectors, each 1/200 of an array; a re-run is served from
+        # the copy and keeps nothing more
+        run, _ = self.RUNS[name]
+        for bound in (2 + 20 / 200, 1 + 20 / 200):
+            tracemalloc.start()
+            try:
+                run(self.PARAMS, self.CFG)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert _rng._stream == (self.CFG.seed, 200) and set(_rng._kept) == {(0, BLOCK)}
+            arrays = peak / (8 * BLOCK * self.CFG.steps)
+            assert arrays <= bound, f"{name}: peak of {arrays:.2f} (B, steps) arrays"
 
 
 # ---------------------------------------------------------------------------
